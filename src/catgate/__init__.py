@@ -22,9 +22,9 @@ from .gate import (
     GateParams,
     TaylorPhase,
     exact_output,
+    outcome_norm,
     perfect_cat,
     phase_function,
-    semiclassical_factor,
     semiclassical_output,
     taylor_phase,
 )
@@ -42,7 +42,6 @@ from .numerics import (
     Grid1D,
     PowerSeries,
     default_grid,
-    eval_hermite,
     eval_hermite_fn,
     integrate,
     integration_weights,
@@ -50,15 +49,7 @@ from .numerics import (
     series_inv_sqrt_one_plus,
     series_mul,
 )
-from .phase_map import (
-    BranchImage,
-    CircleDescriptor,
-    DiskImage,
-    PhasePoint,
-    map_disk,
-    map_point,
-    resource_circle,
-)
+from .phase_map import DiskImage, map_disk, map_point
 from .states import (
     CatSuperposition,
     CoherentParams,
@@ -69,7 +60,6 @@ from .states import (
     overlap,
 )
 from .wigner import (
-    MehlerContext,
     WignerGrid,
     aligned_state_grid,
     default_axes,
@@ -79,7 +69,7 @@ from .wigner import (
     wigner_quadrature,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "CatGateError",
@@ -92,9 +82,9 @@ __all__ = [
     "GateParams",
     "TaylorPhase",
     "exact_output",
+    "outcome_norm",
     "perfect_cat",
     "phase_function",
-    "semiclassical_factor",
     "semiclassical_output",
     "taylor_phase",
     "AcceptanceWindow",
@@ -108,20 +98,15 @@ __all__ = [
     "Grid1D",
     "PowerSeries",
     "default_grid",
-    "eval_hermite",
     "eval_hermite_fn",
     "integrate",
     "integration_weights",
     "series_exp",
     "series_inv_sqrt_one_plus",
     "series_mul",
-    "BranchImage",
-    "CircleDescriptor",
     "DiskImage",
-    "PhasePoint",
     "map_disk",
     "map_point",
-    "resource_circle",
     "CatSuperposition",
     "CoherentParams",
     "WaveFunctionGrid",
@@ -129,7 +114,6 @@ __all__ = [
     "coherent_wavefunction",
     "fock_wavefunction",
     "overlap",
-    "MehlerContext",
     "WignerGrid",
     "aligned_state_grid",
     "default_axes",

@@ -28,7 +28,7 @@ from .metrics import (
     window_probability,
 )
 from .numerics import Grid1D
-from .phase_map import PhasePoint, map_disk
+from .phase_map import map_disk
 from .states import CoherentParams
 from .wigner import (
     default_axes,
@@ -49,10 +49,6 @@ class RunConfig:
     output_path: str | None
     format: str
     timings: bool = False
-
-
-def _fmt(value: float) -> str:
-    return "%.17g" % value
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -99,21 +95,28 @@ def _axis_echo(axis: Grid1D) -> dict:
     return {"min": axis.x_min, "max": axis.x_max, "count": axis.count}
 
 
+def _product(outer, inner) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of every (outer, inner) pair, inner varying fastest."""
+    outer, inner = np.asarray(outer), np.asarray(inner)
+    return np.repeat(outer, inner.size), np.tile(inner, outer.size)
+
+
 def _run_fidelity_scan(p: dict):
-    rows = []
-    for x0 in p["x0"]:
-        for n in p["n"]:
-            rows.append([n, p["y_m"], x0, p["p0"], fidelity_scl_scan(n, p["y_m"], x0, p["p0"])])
-    return ["n", "y_m", "x0", "p0", "F_scl"], rows, {}
+    x0, n = _product(p["x0"], p["n"])
+    f = [fidelity_scl_scan(k, p["y_m"], x, p["p0"]) for x, k in zip(x0.tolist(), n.tolist())]
+    data = [n, np.full(n.size, p["y_m"]), x0, np.full(n.size, p["p0"]), np.array(f)]
+    return ["n", "y_m", "x0", "p0", "F_scl"], data, {}
 
 
 def _run_cat_fidelity(p: dict):
-    rows = []
-    for x0 in p["x0"]:
-        y_m = x0 if p["ym_equals_x0"] else p["y_m"]
-        for n in p["n"]:
-            rows.append([n, y_m, x0, p["p0"], fidelity_cat_scan(n, y_m, x0, p["p0"])])
-    return ["n", "y_m", "x0", "p0", "F_cat"], rows, {}
+    x0, n = _product(p["x0"], p["n"])
+    y_m = x0 if p["ym_equals_x0"] else np.full(n.size, p["y_m"])
+    f = [
+        fidelity_cat_scan(k, y, x, p["p0"])
+        for k, y, x in zip(n.tolist(), y_m.tolist(), x0.tolist())
+    ]
+    data = [n, y_m, x0, np.full(n.size, p["p0"]), np.array(f)]
+    return ["n", "y_m", "x0", "p0", "F_cat"], data, {}
 
 
 def _run_wigner(p: dict):
@@ -139,52 +142,42 @@ def _run_wigner(p: dict):
         columns.append("W_cat")
         grids.append(wigner_cat_reference(perfect_cat(params, inp), x_axis, p_axis))
 
-    xs, ps = x_axis.xs, p_axis.xs
-    rows = []
-    for i in range(x_axis.count):
-        for j in range(p_axis.count):
-            rows.append([float(xs[i]), float(ps[j])] + [float(g.values[i, j]) for g in grids])
-    return columns, rows, metadata
+    data = [*_product(x_axis.xs, p_axis.xs), *(g.values.ravel() for g in grids)]
+    return columns, data, metadata
 
 
 def _run_prob_density(p: dict):
-    ys = [p["y_m"]] if p["y_m"] is not None else list(p["y_axis"].xs)
-    rows = []
-    for n in p["n"]:
-        for y in ys:
-            rows.append([n, float(y), p["x0"], outcome_density(n, p["x0"], float(y))])
-    return ["n", "y_m", "x0", "P"], rows, {}
+    if p["y_m"] is not None:
+        ys = np.array([p["y_m"]], dtype=float)
+    else:
+        ys = (p["y_axis"] or Grid1D(p["x0"] - 5.0, p["x0"] + 5.0, 201)).xs
+    n, y_m = _product(p["n"], ys)
+    dens = np.concatenate([outcome_density(k, p["x0"], ys) for k in p["n"]])
+    return ["n", "y_m", "x0", "P"], [n, y_m, np.full(n.size, p["x0"]), dens], {}
 
 
 def _run_mixed_fidelity(p: dict):
-    rows = []
-    for n in p["n"]:
-        for d in p["d"]:
-            window = AcceptanceWindow(p["x0"], d)
-            rows.append(
-                [
-                    n,
-                    p["x0"],
-                    d,
-                    mixed_fidelity(n, p["x0"], window),
-                    window_probability(n, p["x0"], window),
-                ]
-            )
-    return ["n", "x0", "d", "F_mix", "P"], rows, {}
+    n, d = _product(p["n"], p["d"])
+    windows = [(k, AcceptanceWindow(p["x0"], w)) for k, w in zip(n.tolist(), d.tolist())]
+    f_mix = [mixed_fidelity(k, p["x0"], window) for k, window in windows]
+    prob = [window_probability(k, p["x0"], window) for k, window in windows]
+    data = [n, np.full(n.size, p["x0"]), d, np.array(f_mix), np.array(prob)]
+    return ["n", "x0", "d", "F_mix", "P"], data, {}
 
 
 def _run_scl_map(p: dict):
     params = GateParams(p["n"], p["y_m"])
-    disk = map_disk(params, PhasePoint(p["x0"], p["p0"]), p["radius"], p["samples"])
-    rows = []
-    for label, points in (("source", disk.source), ("upper", disk.upper), ("lower", disk.lower)):
-        rows.extend([label, pt.q, pt.p] for pt in points)
+    disk = map_disk(params, (p["x0"], p["p0"]), p["radius"], p["samples"])
+    parts = (disk.source, disk.upper, disk.lower)
+    branch = np.repeat(["source", "upper", "lower"], [q.size for q, _ in parts])
+    q = np.concatenate([q for q, _ in parts])
+    mom = np.concatenate([mom for _, mom in parts])
     metadata = {
         "dropped": disk.dropped,
-        "upper_count": len(disk.upper),
-        "lower_count": len(disk.lower),
+        "upper_count": disk.upper[0].size,
+        "lower_count": disk.lower[0].size,
     }
-    return ["branch", "q", "p"], rows, metadata
+    return ["branch", "q", "p"], [branch, q, mom], metadata
 
 
 _HANDLERS = {
@@ -197,11 +190,15 @@ _HANDLERS = {
 }
 
 
-def _render_csv(columns: list[str], rows: list[list]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _row_template(data: list[np.ndarray], label: str) -> str:
+    """One row's format: %.17g per numeric column, `label` per string column."""
+    return ",".join(label if c.dtype.kind == "U" else "%.17g" for c in data)
+
+
+def _render_csv(columns: list[str], data: list[np.ndarray]) -> str:
+    template = _row_template(data, "%s") + "\n"
+    body = "".join(template % row for row in zip(*(c.tolist() for c in data)))
+    return ",".join(columns) + "\n" + body
 
 
 def _json_text(value) -> str:
@@ -215,7 +212,7 @@ def _json_text(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return _fmt(value)
+        return "%.17g" % value
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_json_text(v) for v in value) + "]"
     if isinstance(value, dict):
@@ -223,19 +220,29 @@ def _json_text(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _render_json(config: RunConfig, columns, rows, metadata) -> str:
-    document = {
-        "config": {
-            "command": config.command,
-            "parameters": config.parameters,
-            "format": config.format,
-            "out": config.output_path,
-        },
-        "columns": columns,
-        "rows": rows,
-        "metadata": metadata,
+def _render_json(config: RunConfig, columns, data, metadata) -> str:
+    """JSON document; rows are formatted column-wise like CSV, labels quoted by json.dumps."""
+    cells = []
+    for c in data:
+        if c.dtype.kind == "U":
+            labels, index = np.unique(c, return_inverse=True)
+            c = np.array([json.dumps(s) for s in labels.tolist()])[index]
+        cells.append(c.tolist())
+    template = "[" + _row_template(data, "%s") + "]"
+    rows = ",".join(template % row for row in zip(*cells))
+    echo = {
+        "command": config.command,
+        "parameters": _echo_parameters(config.parameters),
+        "format": config.format,
+        "out": config.output_path,
     }
-    return _json_text(document) + "\n"
+    return (
+        '{"config":' + _json_text(echo)
+        + ',"columns":' + _json_text(columns)
+        + ',"rows":[' + rows
+        + '],"metadata":' + _json_text(metadata)
+        + "}\n"
+    )
 
 
 def _echo_parameters(p: dict) -> dict:
@@ -252,21 +259,14 @@ def run(config: RunConfig) -> int:
     """Execute one resolved invocation; returns the process exit status."""
     try:
         started = time.perf_counter()
-        columns, rows, metadata = _HANDLERS[config.command](config.parameters)
+        columns, data, metadata = _HANDLERS[config.command](config.parameters)
         elapsed = time.perf_counter() - started
         if config.timings:
             metadata["timings"] = {"compute_seconds": elapsed}
         if config.format == "csv":
-            text = _render_csv(columns, rows)
+            text = _render_csv(columns, data)
         else:
-            echoed = RunConfig(
-                command=config.command,
-                parameters=_echo_parameters(config.parameters),
-                output_path=config.output_path,
-                format=config.format,
-                timings=config.timings,
-            )
-            text = _render_json(echoed, columns, rows, metadata)
+            text = _render_json(config, columns, data, metadata)
     except CatGateError as exc:
         print(str(exc), file=sys.stderr)
         return 3
@@ -393,10 +393,7 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunCo
             "p_axis": args.p_range,
         }
     elif cmd == "prob-density":
-        y_axis = args.x_range
-        if args.ym is None and y_axis is None:
-            y_axis = Grid1D(args.x0 - 5.0, args.x0 + 5.0, 201)
-        params = {"n": args.n, "x0": args.x0, "y_m": args.ym, "y_axis": y_axis}
+        params = {"n": args.n, "x0": args.x0, "y_m": args.ym, "y_axis": args.x_range}
     elif cmd == "mixed-fidelity":
         if any(d <= 0 for d in args.d):
             parser.error("--d widths must be positive")

@@ -14,13 +14,14 @@ order around the zero-shear point x = y_m yields an ideal two-component cat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PhaseDomainError, SingularShearError, ZeroProbabilityError, ZeroStateError
-from .numerics import Grid1D, eval_hermite_fn, integrate
+from .numerics import eval_hermite_fn, integrate, series_inv_sqrt_one_plus
 from .states import CatSuperposition, CoherentParams, WaveFunctionGrid
 
 __all__ = [
@@ -28,7 +29,7 @@ __all__ = [
     "TaylorPhase",
     "GateOutput",
     "phase_function",
-    "semiclassical_factor",
+    "outcome_norm",
     "exact_output",
     "semiclassical_output",
     "taylor_phase",
@@ -46,6 +47,8 @@ class GateParams:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("photon number must be nonnegative")
+        if not math.isfinite(self.y_m):
+            raise ValueError("homodyne outcome y_m must be finite")
 
     @property
     def radius(self) -> float:
@@ -72,23 +75,25 @@ def phase_function(n: int, z):
     return phi if np.ndim(z) else float(phi)
 
 
-def semiclassical_factor(params: GateParams, x) -> np.ndarray:
-    """Two-branch approximation of i^n h_n(x - y_m) up to a constant.
+def outcome_norm(n: int, delta):
+    """N_n = [rho^n] (1-rho)^{-1/2} e^{rho delta^2/2} for offsets delta = y_m - x0.
 
-    (1 - z^2)^{-1/4} [e^{i phi} + (-1)^n e^{-i phi}] inside the allowed band,
-    zero outside. The amplitude weight diverges at the turning points; the
-    divergence is integrable and the adjacent grid values stay finite.
+    The normalization of both the coherent-input outcome density,
+    P = e^{-delta^2/2} N_n / sqrt(2 pi), and the Wigner series. All terms are
+    positive; each offset's terms are summed along one contiguous row, so a
+    value does not depend on the other offsets passed with it. Scalar or
+    array input; a non-finite offset raises ValueError.
     """
-    arr = np.asarray(x, dtype=float)
-    z = (arr - params.y_m) / params.radius
-    out = np.zeros(arr.shape, dtype=complex)
-    inside = np.abs(z) < 1.0
-    if np.any(inside):
-        zi = z[inside]
-        phi = phase_function(params.n, zi)
-        branches = np.exp(1j * phi) + (-1.0) ** params.n * np.exp(-1j * phi)
-        out[inside] = (1.0 - zi * zi) ** -0.25 * branches
-    return out
+    arr = np.atleast_1d(np.asarray(delta, dtype=float))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("outcome offset y_m - x0 must be finite")
+    u = 0.5 * arr * arr
+    expo = np.empty((arr.size, n + 1))
+    expo[:, 0] = 1.0
+    for k in range(1, n + 1):
+        expo[:, k] = expo[:, k - 1] * u / k
+    norm = np.add.reduce(expo[:, ::-1] * series_inv_sqrt_one_plus(-1, n).coeffs, axis=1)
+    return norm.reshape(np.shape(delta)) if np.ndim(delta) else float(norm[0])
 
 
 def exact_output(params: GateParams, state: WaveFunctionGrid) -> GateOutput:

@@ -14,20 +14,20 @@ node count until successive estimates agree to 1e-9.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import SingularShearError, ZeroProbabilityError
-from .gate import GateParams, exact_output, perfect_cat, semiclassical_output, taylor_phase
-from .numerics import (
-    Grid1D,
-    PowerSeries,
-    eval_hermite_fn,
-    integrate,
-    integration_weights,
-    series_exp,
-    series_inv_sqrt_one_plus,
-    series_mul,
+from .gate import (
+    GateParams,
+    exact_output,
+    outcome_norm,
+    perfect_cat,
+    semiclassical_output,
+    taylor_phase,
 )
+from .numerics import Grid1D, eval_hermite_fn, integrate, integration_weights
 from .states import (
     CoherentParams,
     WaveFunctionGrid,
@@ -57,8 +57,8 @@ class AcceptanceWindow:
     __slots__ = ("center", "width")
 
     def __init__(self, center: float, width: float):
-        if width <= 0:
-            raise ValueError("window width must be positive")
+        if not (math.isfinite(center) and 0 < width < math.inf):
+            raise ValueError("window needs a finite center and a finite positive width")
         self.center = float(center)
         self.width = float(width)
 
@@ -108,25 +108,18 @@ def fidelity_scl_scan(n: int, y_m: float, x0: float, p0: float = 0.0) -> float:
     return fidelity(out, semiclassical_output(params, psi_in))
 
 
-def _density_series(n: int, deltas: np.ndarray) -> np.ndarray:
-    """P as a function of Delta = y_m - x0 via generating-function coefficients."""
-    deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
-    expo = np.zeros((n + 1, deltas.size))
-    if n >= 1:
-        expo[1] = 0.5 * deltas * deltas
-    series = series_mul(series_inv_sqrt_one_plus(-1, n), series_exp(PowerSeries(expo)))
-    return np.exp(-0.5 * deltas * deltas) * series.coeffs[n] / np.sqrt(2.0 * np.pi)
-
-
-def outcome_density(n: int, x0: float, y_m: float, method: str = "series") -> float:
+def outcome_density(n: int, x0: float, y_m, method: str = "series"):
     """Probability density of homodyne outcome y_m for coherent input (x0, any p0).
 
-    method "series" evaluates the generating-function coefficient (default),
-    "quadrature" integrates |psi_in h_n|^2 on a scan grid; the two agree to
-    better than 1e-10.
+    method "series" evaluates the generating-function coefficient (default)
+    and takes y_m as a scalar or an array; "quadrature" integrates
+    |psi_in h_n|^2 on a scan grid for one scalar y_m. The two agree to better
+    than 1e-10.
     """
     if method == "series":
-        return float(_density_series(n, np.array([y_m - x0]))[0])
+        delta = np.atleast_1d(np.asarray(y_m, dtype=float)) - x0
+        dens = np.exp(-0.5 * delta * delta) * outcome_norm(n, delta) / np.sqrt(2.0 * np.pi)
+        return dens.reshape(np.shape(y_m)) if np.ndim(y_m) else float(dens[0])
     if method == "quadrature":
         grid = scan_grid(n, x0, y_m)
         x = grid.xs
@@ -156,7 +149,7 @@ def window_probability(n: int, x0: float, window: AcceptanceWindow) -> float:
     """Probability of the outcome falling inside the acceptance window."""
     lo = window.center - 0.5 * window.width
     hi = window.center + 0.5 * window.width
-    return _adaptive_nodes(lo, hi, lambda ys: _density_series(n, ys - x0))
+    return _adaptive_nodes(lo, hi, lambda ys: outcome_density(n, x0, ys))
 
 
 def mixed_fidelity(n: int, x0: float, window: AcceptanceWindow) -> float:
@@ -210,7 +203,7 @@ def mixed_fidelity(n: int, x0: float, window: AcceptanceWindow) -> float:
     lo = window.center - 0.5 * window.width
     hi = window.center + 0.5 * window.width
     numer = _adaptive_nodes(lo, hi, weighted_overlap_sq)
-    denom = _adaptive_nodes(lo, hi, lambda ys: _density_series(n, ys - x0))
+    denom = _adaptive_nodes(lo, hi, lambda ys: outcome_density(n, x0, ys))
     if denom < 1e-300:
         raise ZeroProbabilityError("window probability underflows; no outcomes accepted")
     return numer / denom

@@ -14,7 +14,6 @@ __all__ = [
     "Grid1D",
     "PowerSeries",
     "default_grid",
-    "eval_hermite",
     "eval_hermite_fn",
     "integration_weights",
     "integrate",
@@ -64,24 +63,6 @@ def default_grid(n: int, center: float) -> Grid1D:
     """
     half = 8.0 + np.sqrt(2.0 * n + 1.0)
     return Grid1D(center - half, center + half, 4001)
-
-
-def eval_hermite(n: int, x):
-    """Physicists' Hermite polynomial H_n(x) by the three-term recurrence.
-
-    Accepts scalars or arrays. Not overflow-safe for large n; use
-    eval_hermite_fn for anything beyond moderate degree.
-    """
-    if n < 0:
-        raise ValueError("Hermite degree must be nonnegative")
-    arr = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(arr)
-    if n == 0:
-        return h_prev if arr.ndim else float(h_prev)
-    h = 2.0 * arr
-    for k in range(1, n):
-        h, h_prev = 2.0 * arr * h - 2.0 * k * h_prev, h
-    return h if arr.ndim else float(h)
 
 
 def eval_hermite_fn(n: int, x):

@@ -15,11 +15,7 @@ import numpy as np
 from .gate import GateParams
 
 __all__ = [
-    "PhasePoint",
-    "BranchImage",
-    "CircleDescriptor",
     "DiskImage",
-    "resource_circle",
     "map_point",
     "map_disk",
 ]
@@ -29,118 +25,79 @@ _TANGENT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class PhasePoint:
-    """A point (q, p) in the quadrature plane."""
-
-    q: float
-    p: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.q) and np.isfinite(self.p)):
-            raise ValueError("phase-space coordinates must be finite")
-
-
-@dataclass(frozen=True)
-class BranchImage:
-    """Images of one input point: zero, one, or two output points."""
-
-    branch_count: int
-    images: tuple[PhasePoint, ...]
-
-    def __post_init__(self) -> None:
-        if self.branch_count not in (0, 1, 2):
-            raise ValueError("branch_count must be 0, 1, or 2")
-        if len(self.images) != self.branch_count:
-            raise ValueError("image list length must equal branch_count")
-
-
-@dataclass(frozen=True)
-class CircleDescriptor:
-    """Implicit circle q^2 + (p - center.p)^2 = radius^2."""
-
-    center: PhasePoint
-    radius: float
-
-
-@dataclass(frozen=True)
 class DiskImage:
     """Mapped samples of an uncertainty disk, split by branch.
 
+    Each of source, upper and lower is a (q, p) pair of equal-length arrays.
     upper and lower collect the p + sqrt(D) and p - sqrt(D) images; a
-    tangency point (single branch) goes to upper. dropped counts samples
-    with no image. source keeps the input samples in the same generation
-    order, for plotting the preimage next to its images.
+    tangency point (single branch) goes to upper. Both keep the order of
+    their preimages in source. dropped counts samples with no image. source
+    keeps the input samples in generation order, for plotting the preimage
+    next to its images.
     """
 
-    upper: tuple[PhasePoint, ...]
-    lower: tuple[PhasePoint, ...]
+    upper: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    lower: tuple[np.ndarray, np.ndarray] = field(repr=False)
     dropped: int
-    source: tuple[PhasePoint, ...] = field(repr=False)
+    source: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
 
-def resource_circle(n: int, shift: float) -> CircleDescriptor:
-    """Phase-space image of the shifted number-state resource: the circle
-    q^2 + (p - shift)^2 = 2n+1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return CircleDescriptor(PhasePoint(0.0, float(shift)), float(np.sqrt(2.0 * n + 1.0)))
+def map_point(params: GateParams, q, p):
+    """Map phase-space points (q, p) through the measured gate.
 
-
-def map_point(params: GateParams, pt: PhasePoint) -> BranchImage:
-    """Map one phase-space point through the measured gate.
-
-    q is preserved; the two momentum branches are p +/- sqrt(D) with
-    D = 2n+1 - (y_m - q)^2, listed lower branch first. D < 0 yields no
-    image, |D| <= 1e-12 a single unshifted one.
+    Takes arrays (or scalars) and returns (branch_count, p_lower, p_upper)
+    of their broadcast shape. q is preserved; the two momentum branches are
+    p -/+ sqrt(D) with D = 2n+1 - (y_m - q)^2. D < -1e-12 yields no image
+    (count 0, both momenta NaN), |D| <= 1e-12 a single unshifted one
+    (count 1, p_lower = p_upper = p), D > 1e-12 two (count 2).
     """
-    disc = 2.0 * params.n + 1.0 - (params.y_m - pt.q) ** 2
-    if disc < -_TANGENT_TOL:
-        return BranchImage(0, ())
-    if disc <= _TANGENT_TOL:
-        return BranchImage(1, (PhasePoint(pt.q, pt.p),))
-    kick = float(np.sqrt(disc))
-    return BranchImage(2, (PhasePoint(pt.q, pt.p - kick), PhasePoint(pt.q, pt.p + kick)))
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    disc = 2.0 * params.n + 1.0 - (params.y_m - q) ** 2
+    count = np.where(disc < -_TANGENT_TOL, 0, np.where(disc <= _TANGENT_TOL, 1, 2))
+    kick = np.where(count == 2, np.sqrt(np.abs(disc)), np.where(count == 1, 0.0, np.nan))
+    return count, p - kick, p + kick
 
 
-def _disk_samples(center: PhasePoint, radius: float, samples: int) -> list[PhasePoint]:
-    """Concentric-ring lattice: a center point plus rings whose point counts
-    grow linearly outward, the outermost tracing the boundary polyline.
-    Ring angles pair theta with -theta, so the lattice is exactly mirror
-    symmetric about p = center.p."""
+def _disk_samples(center: tuple[float, float], radius: float, samples: int):
+    """Concentric-ring lattice as (q, p) arrays: a center point plus rings
+    whose point counts grow linearly outward, the outermost tracing the
+    boundary polyline. Ring angles pair theta with -theta, so the lattice is
+    exactly mirror symmetric about p = center p."""
+    q0, p0 = center
     rings = max(1, round(np.sqrt(samples)))
     per_unit = 2.0 * (samples - 1) / (rings * (rings + 1))
-    pts = [PhasePoint(center.q, center.p)]
+    qs, ps = [np.array([q0], dtype=float)], [np.array([p0], dtype=float)]
     for i in range(1, rings + 1):
         r_i = radius * i / rings
         count = max(1, round(per_unit * i))
         angles = 2.0 * np.pi * np.arange(count) / count
-        for t in angles:
-            pts.append(PhasePoint(center.q + r_i * np.cos(t), center.p + r_i * np.sin(t)))
-    return pts
+        qs.append(q0 + r_i * np.cos(angles))
+        ps.append(p0 + r_i * np.sin(angles))
+    return np.concatenate(qs), np.concatenate(ps)
 
 
-def map_disk(params: GateParams, center: PhasePoint, radius: float, samples: int) -> DiskImage:
-    """Map a sampled uncertainty disk through the gate, branch by branch.
+def map_disk(
+    params: GateParams, center: tuple[float, float], radius: float, samples: int
+) -> DiskImage:
+    """Map a sampled uncertainty disk centred at (q, p) through the gate.
 
     samples is the approximate total lattice size (at least 8); the exact
     count for a given argument is fixed, so repeated calls are
     reproducible point for point.
     """
+    if not (np.all(np.isfinite(center)) and np.isfinite(radius)):
+        raise ValueError("disk center and radius must be finite")
     if radius <= 0:
         raise ValueError("disk radius must be positive")
     if samples < 8:
         raise ValueError("need at least 8 samples")
-    source = _disk_samples(center, radius, samples)
-    upper: list[PhasePoint] = []
-    lower: list[PhasePoint] = []
-    dropped = 0
-    for pt in source:
-        image = map_point(params, pt)
-        if image.branch_count == 0:
-            dropped += 1
-        elif image.branch_count == 1:
-            upper.append(image.images[0])
-        else:
-            lower.append(image.images[0])
-            upper.append(image.images[1])
-    return DiskImage(tuple(upper), tuple(lower), dropped, tuple(source))
+    q, p = _disk_samples(center, radius, samples)
+    count, p_lower, p_upper = map_point(params, q, p)
+    hit, two = count > 0, count == 2
+    return DiskImage(
+        upper=(q[hit], p_upper[hit]),
+        lower=(q[two], p_lower[two]),
+        dropped=int(np.count_nonzero(count == 0)),
+        source=(q, p),
+    )

@@ -11,6 +11,7 @@ gate output) relies on this convention, so it is fixed here once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,10 @@ class CoherentParams:
 
     x0: float
     p0: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.x0) and math.isfinite(self.p0)):
+            raise ValueError("coherent-state quadratures must be finite")
 
     @property
     def alpha(self) -> complex:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridCoverageError
-from .gate import GateParams, exact_output
+from .gate import GateParams, exact_output, outcome_norm
 from .numerics import (
     Grid1D,
     PowerSeries,
@@ -45,7 +45,6 @@ from .states import (
 
 __all__ = [
     "WignerGrid",
-    "MehlerContext",
     "default_axes",
     "aligned_state_grid",
     "wigner_quadrature",
@@ -87,31 +86,6 @@ class WignerGrid:
         return float(wx @ self.values @ wp)
 
 
-@dataclass(frozen=True)
-class MehlerContext:
-    """Scalar data of the series engine: photon number, offset, normalization."""
-
-    n: int
-    delta: float
-    normalization: float
-
-    @classmethod
-    def for_gate(cls, params: GateParams, inp: CoherentParams) -> "MehlerContext":
-        delta = params.y_m - inp.x0
-        return cls(n=params.n, delta=delta, normalization=_norm_coefficient(params.n, delta))
-
-
-def _norm_coefficient(n: int, delta: float) -> float:
-    """N_n = [rho^n] (1-rho)^{-1/2} e^{rho delta^2/2}; all terms positive."""
-    binom = series_inv_sqrt_one_plus(-1, n).coeffs
-    u = 0.5 * delta * delta
-    expo = np.empty(n + 1)
-    expo[0] = 1.0
-    for k in range(1, n + 1):
-        expo[k] = expo[k - 1] * u / k
-    return float(binom @ expo[::-1])
-
-
 def default_axes(params: GateParams, inp: CoherentParams, count: int = 201) -> tuple[Grid1D, Grid1D]:
     """Axes framing the output support: x within 6 of the centre between x0
     and y_m, p within 4 beyond the displaced components p0 +/- sqrt(2n+1)."""
@@ -135,8 +109,8 @@ def wigner_mehler(
     e^{rho p~^2/2} whose coefficients are (p~^2/2)^k / k!. All coefficients
     are real, so the result is exactly real by construction.
     """
-    ctx = MehlerContext.for_gate(params, inp)
     n = params.n
+    delta = params.y_m - inp.x0
     x_t = x_axis.xs - params.y_m
     p_t = p_axis.xs - inp.p0
 
@@ -153,9 +127,9 @@ def wigner_mehler(
     b_coeffs = series_exp(PowerSeries(b_expo)).coeffs
 
     values = a_coeffs.T @ b_coeffs[::-1]
-    gauss_x = np.exp(-2.0 * (x_t + 0.5 * ctx.delta) ** 2)
+    gauss_x = np.exp(-2.0 * (x_t + 0.5 * delta) ** 2)
     gauss_p = np.exp(-0.5 * p_t * p_t)
-    values *= gauss_x[:, None] * (1.0 / (np.pi * ctx.normalization))
+    values *= gauss_x[:, None] * (1.0 / (np.pi * outcome_norm(n, delta)))
     values *= gauss_p[None, :]
     return WignerGrid(x_axis, p_axis, values)
 

@@ -23,7 +23,7 @@ from catgate.metrics import (
     window_probability,
 )
 from catgate.numerics import Grid1D, integration_weights
-from catgate.phase_map import PhasePoint, map_point
+from catgate.phase_map import map_point
 from catgate.states import CoherentParams, coherent_wavefunction, fock_wavefunction
 from catgate.wigner import (
     aligned_state_grid,
@@ -208,18 +208,14 @@ def test_criterion_7_structural_invariants(capsys):
         center = np.argmin(np.abs(grid.xs))
         parity_worst = max(parity_worst, abs(out.state.values[center]))
 
-    sum_worst = 0.0
     rng = np.random.default_rng(3)
-    params = GateParams(6, 0.5)
-    for _ in range(100):
-        pt = PhasePoint(*rng.uniform(-4.0, 4.0, size=2))
-        im = map_point(params, pt)
-        disc = 13.0 - (0.5 - pt.q) ** 2
-        expected = 0 if disc < -1e-9 else 2
-        if abs(disc) > 1e-9:
-            assert im.branch_count == expected
-        if im.branch_count == 2:
-            sum_worst = max(sum_worst, abs(im.images[0].p + im.images[1].p - 2.0 * pt.p))
+    q, p = rng.uniform(-4.0, 4.0, size=(100, 2)).T
+    count, p_lower, p_upper = map_point(GateParams(6, 0.5), q, p)
+    disc = 13.0 - (0.5 - q) ** 2
+    clear = np.abs(disc) > 1e-9
+    np.testing.assert_array_equal(count[clear], np.where(disc[clear] < -1e-9, 0, 2))
+    two = count == 2
+    sum_worst = float(np.max(np.abs(p_lower[two] + p_upper[two] - 2.0 * p[two]), initial=0.0))
 
     shift = 2.0
     grid_a = Grid1D(-8.5, 9.5, 1801)

@@ -9,7 +9,6 @@ from catgate.gate import (
     exact_output,
     perfect_cat,
     phase_function,
-    semiclassical_factor,
     semiclassical_output,
     taylor_phase,
 )
@@ -92,18 +91,6 @@ def test_exact_output_rejects_vanishing_overlap():
     psi = coherent_wavefunction(CoherentParams(0.0, 0.0), grid)
     with pytest.raises(ZeroProbabilityError):
         exact_output(GateParams(2, 40.0), psi)
-
-
-def test_semiclassical_factor_zero_outside_band():
-    params = GateParams(2, 0.0)
-    x = np.array([-3.0, -2.4, 2.4, 3.0])
-    np.testing.assert_allclose(semiclassical_factor(params, x), 0.0)
-
-
-def test_semiclassical_factor_parity_at_outcome():
-    x = np.array([1.5])
-    assert semiclassical_factor(GateParams(3, 1.5), x)[0] == 0.0
-    np.testing.assert_allclose(semiclassical_factor(GateParams(2, 1.5), x)[0], 2.0, rtol=1e-14)
 
 
 def test_semiclassical_output_constant_tail_ratio():

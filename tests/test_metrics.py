@@ -108,6 +108,7 @@ def test_density_normalized_over_outcomes(n):
     half = 10.0 + np.sqrt(2.0 * n + 1.0)
     g = Grid1D(-half, half, 2001)
     values = np.array([outcome_density(n, 0.0, y) for y in g.xs])
+    np.testing.assert_array_equal(outcome_density(n, 0.0, g.xs), values)
     total = values @ integration_weights(g)
     np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-10)
 

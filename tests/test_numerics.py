@@ -11,7 +11,6 @@ from catgate.numerics import (
     Grid1D,
     PowerSeries,
     default_grid,
-    eval_hermite as hermite,
     eval_hermite_fn,
     integrate,
     integration_weights,
@@ -75,8 +74,10 @@ def test_trapezoid_fallback_even_count():
 
 @pytest.mark.parametrize("n", range(21))
 def test_hermite_matches_scipy(n):
+    # the polynomial H_n recovered from the normalized function, in relative terms
     x = np.linspace(-4.0, 4.0, 41)
-    np.testing.assert_allclose(hermite(n, x), eval_hermite(n, x), rtol=1e-12)
+    scale = math.pi**0.25 * math.sqrt(2.0**n * math.factorial(n)) * np.exp(0.5 * x**2)
+    np.testing.assert_allclose(eval_hermite_fn(n, x) * scale, eval_hermite(n, x), rtol=1e-12)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 15])

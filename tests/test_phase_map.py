@@ -4,103 +4,90 @@ import numpy as np
 import pytest
 
 from catgate.gate import GateParams
-from catgate.phase_map import (
-    BranchImage,
-    PhasePoint,
-    map_disk,
-    map_point,
-    resource_circle,
-)
+from catgate.phase_map import map_disk, map_point
 
 
 def test_phase_point_rejects_non_finite():
     with pytest.raises(ValueError):
-        PhasePoint(np.inf, 0.0)
+        map_disk(GateParams(1, 0.0), (np.inf, 0.0), 1.0, 64)
     with pytest.raises(ValueError):
-        PhasePoint(0.0, np.nan)
+        map_disk(GateParams(1, 0.0), (0.0, np.nan), 1.0, 64)
 
 
 def test_branch_image_length_must_match_count():
-    with pytest.raises(ValueError):
-        BranchImage(2, (PhasePoint(0.0, 0.0),))
-    with pytest.raises(ValueError):
-        BranchImage(3, ())
+    # each point has exactly branch_count distinct finite images
+    q = np.array([4.0, 1.0, 0.0, 2.0, 0.5])
+    count, lo, hi = map_point(GateParams(0, 1.0), q, np.zeros_like(q))
+    assert count.tolist() == [0, 2, 1, 1, 2]
+    images = [np.unique(pair[np.isfinite(pair)]).size for pair in np.stack([lo, hi], axis=1)]
+    assert images == count.tolist()
 
 
 @pytest.mark.parametrize("n,radius", [(4, 3.0), (0, 1.0), (12, 5.0)])
 def test_resource_circle_radius(n, radius):
-    circ = resource_circle(n, 2.5)
-    assert circ.radius == radius
-    assert circ.center == PhasePoint(0.0, 2.5)
+    assert GateParams(n, 2.5).radius == radius
     with pytest.raises(ValueError):
-        resource_circle(-1, 0.0)
+        GateParams(-1, 0.0)
 
 
 def test_map_point_two_branches_at_band_center():
-    im = map_point(GateParams(4, 3.0), PhasePoint(3.0, 3.0))
-    assert im.branch_count == 2
-    assert im.images == (PhasePoint(3.0, 0.0), PhasePoint(3.0, 6.0))
+    count, lo, hi = map_point(GateParams(4, 3.0), 3.0, 3.0)
+    assert count == 2
+    assert (lo, hi) == (0.0, 6.0)
 
 
 def test_map_point_outside_band_has_no_image():
-    im = map_point(GateParams(4, 0.0), PhasePoint(4.0, 0.0))
-    assert im.branch_count == 0
-    assert im.images == ()
+    count, lo, hi = map_point(GateParams(4, 0.0), 4.0, 0.0)
+    assert count == 0
+    assert np.isnan(lo) and np.isnan(hi)
 
 
 def test_map_point_tangency_single_branch():
-    im = map_point(GateParams(0, 1.0), PhasePoint(0.0, 5.0))
-    assert im.branch_count == 2 - 1
-    assert im.images == (PhasePoint(0.0, 5.0),)
-    for q in (1.0 - 1.0, 2.0):
-        assert map_point(GateParams(0, 1.0), PhasePoint(q, 0.0)).branch_count == 1
+    count, lo, hi = map_point(GateParams(0, 1.0), 0.0, 5.0)
+    assert count == 2 - 1
+    assert lo == hi == 5.0
+    counts, _, _ = map_point(GateParams(0, 1.0), np.array([1.0 - 1.0, 2.0]), 0.0)
+    assert counts.tolist() == [1, 1]
 
 
 def test_map_point_preserves_q_and_momentum_mean():
     rng = np.random.default_rng(7)
     params = GateParams(6, 0.5)
-    for _ in range(200):
-        pt = PhasePoint(*rng.uniform(-5.0, 5.0, size=2))
-        im = map_point(params, pt)
-        for image in im.images:
-            assert image.q == pt.q
-        if im.branch_count == 2:
-            lo, hi = im.images
-            assert lo.p < hi.p
-            np.testing.assert_allclose(lo.p + hi.p, 2.0 * pt.p, rtol=0, atol=1e-12)
+    q, p = rng.uniform(-5.0, 5.0, size=(200, 2)).T
+    count, lo, hi = map_point(params, q, p)
+    two = count == 2
+    assert np.all(lo[two] < hi[two])
+    np.testing.assert_allclose(lo[two] + hi[two], 2.0 * p[two], rtol=0, atol=1e-12)
 
 
 def test_map_point_band_predicate():
     rng = np.random.default_rng(11)
     for n, y_m in ((2, 0.0), (7, 1.5)):
-        params = GateParams(n, y_m)
-        for q in rng.uniform(-8.0, 8.0, size=300):
-            disc = 2.0 * n + 1.0 - (y_m - q) ** 2
-            if abs(disc) < 1e-9:
-                continue
-            expected = 2 if disc > 0 else 0
-            assert map_point(params, PhasePoint(q, 0.0)).branch_count == expected
+        q = rng.uniform(-8.0, 8.0, size=300)
+        disc = 2.0 * n + 1.0 - (y_m - q) ** 2
+        keep = np.abs(disc) >= 1e-9
+        count, _, _ = map_point(GateParams(n, y_m), q, 0.0)
+        np.testing.assert_array_equal(count[keep], np.where(disc[keep] > 0, 2, 0))
 
 
 @pytest.mark.parametrize("n", [0, 1, 4, 12, 40])
 def test_map_point_diameter_at_outcome(n):
     params = GateParams(n, 1.25)
-    im = map_point(params, PhasePoint(1.25, 0.7))
+    _, lo, hi = map_point(params, 1.25, 0.7)
     kick = np.sqrt(2.0 * n + 1.0)
-    assert im.images[0].p == 0.7 - kick
-    assert im.images[1].p == 0.7 + kick
+    assert lo == 0.7 - kick
+    assert hi == 0.7 + kick
 
 
 @pytest.mark.parametrize("samples", [8, 64, 100, 256, 1024])
 def test_disk_lattice_budget_is_exact(samples):
-    im = map_disk(GateParams(4, 3.0), PhasePoint(3.0, 3.0), 1.0, samples)
-    assert len(im.source) == samples
+    im = map_disk(GateParams(4, 3.0), (3.0, 3.0), 1.0, samples)
+    assert im.source[0].size == im.source[1].size == samples
 
 
 def test_disk_lattice_mirror_symmetry():
-    im = map_disk(GateParams(4, 3.0), PhasePoint(2.0, -1.5), 0.8, 256)
-    qs = np.array([pt.q for pt in im.source])
-    ps = np.array([pt.p for pt in im.source])
+    im = map_disk(GateParams(4, 3.0), (2.0, -1.5), 0.8, 256)
+    qs, ps = im.source
     key_q = np.round(qs, 9)
     direct = np.lexsort((np.round(ps, 9), key_q))
     mirrored = np.lexsort((np.round(-3.0 - ps, 9), key_q))
@@ -108,40 +95,81 @@ def test_disk_lattice_mirror_symmetry():
     np.testing.assert_allclose(ps[direct], -3.0 - ps[mirrored], rtol=0, atol=1e-12)
 
 
+def _lattice_reference(q0, p0, radius, samples):
+    """The ring lattice built point by point: center, then each ring by angle."""
+    rings = max(1, round(np.sqrt(samples)))
+    per_unit = 2.0 * (samples - 1) / (rings * (rings + 1))
+    pts = [(q0, p0)]
+    for i in range(1, rings + 1):
+        r_i = radius * i / rings
+        count = max(1, round(per_unit * i))
+        for t in 2.0 * np.pi * np.arange(count) / count:
+            pts.append((q0 + r_i * np.cos(t), p0 + r_i * np.sin(t)))
+    return np.array(pts).T
+
+
+@pytest.mark.parametrize("samples", [9, 256, 1000])
+def test_disk_lattice_order(samples):
+    qs, ps = map_disk(GateParams(4, 3.0), (1.0, -2.0), 0.5, samples).source
+    ref_q, ref_p = _lattice_reference(1.0, -2.0, 0.5, samples)
+    np.testing.assert_allclose(qs, ref_q, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(ps, ref_p, rtol=0, atol=1e-14)
+
+
 def test_disk_image_centroids_straddle_resource_circle():
-    im = map_disk(GateParams(4, 3.0), PhasePoint(3.0, 3.0), 1.0, 256)
+    im = map_disk(GateParams(4, 3.0), (3.0, 3.0), 1.0, 256)
     assert im.dropped == 0
-    assert len(im.upper) == len(im.lower) == 256
-    up_q = np.mean([pt.q for pt in im.upper])
-    up_p = np.mean([pt.p for pt in im.upper])
-    lo_p = np.mean([pt.p for pt in im.lower])
-    np.testing.assert_allclose(up_q, 3.0, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(up_p, 6.0, rtol=0, atol=0.15)
-    np.testing.assert_allclose(lo_p, 0.0, rtol=0, atol=0.15)
+    assert im.upper[0].size == im.lower[0].size == 256
+    np.testing.assert_allclose(np.mean(im.upper[0]), 3.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.mean(im.upper[1]), 6.0, rtol=0, atol=0.15)
+    np.testing.assert_allclose(np.mean(im.lower[1]), 0.0, rtol=0, atol=0.15)
 
 
 def test_disk_far_from_band_is_fully_dropped():
-    im = map_disk(GateParams(0, 10.0), PhasePoint(0.0, 0.0), 1.0, 64)
+    im = map_disk(GateParams(0, 10.0), (0.0, 0.0), 1.0, 64)
     assert im.dropped == 64
-    assert im.upper == () and im.lower == ()
+    assert im.upper[0].size == im.lower[0].size == 0
 
 
 def test_disk_partial_overlap_counts_are_consistent():
-    im = map_disk(GateParams(0, 0.9), PhasePoint(0.0, 0.0), 1.0, 256)
+    im = map_disk(GateParams(0, 0.9), (0.0, 0.0), 1.0, 256)
     assert 0 < im.dropped < 256
-    two_branch = len(im.lower)
-    tangent = len(im.upper) - two_branch
+    two_branch = im.lower[0].size
+    tangent = im.upper[0].size - two_branch
     assert two_branch + tangent + im.dropped == 256
 
 
+def test_disk_images_keep_source_order():
+    # tangency points go to upper, interleaved with two-branch points in source order
+    params = GateParams(0, 1.0)
+    im = map_disk(params, (0.0, 5.0), 1.0, 9)
+    upper, lower, dropped, tangent = [], [], 0, 0
+    for q, p in zip(*im.source):
+        disc = 1.0 - (1.0 - q) ** 2
+        if disc < -1e-12:
+            dropped += 1
+        elif disc <= 1e-12:
+            tangent += 1
+            upper.append((q, p))
+        else:
+            lower.append((q, p - np.sqrt(disc)))
+            upper.append((q, p + np.sqrt(disc)))
+    assert tangent > 0 and dropped == im.dropped > 0
+    np.testing.assert_allclose(np.array(im.upper).T, upper, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.array(im.lower).T, lower, rtol=0, atol=1e-15)
+
+
 def test_map_disk_is_deterministic():
-    first = map_disk(GateParams(3, 1.0), PhasePoint(0.5, -0.5), 1.2, 100)
-    second = map_disk(GateParams(3, 1.0), PhasePoint(0.5, -0.5), 1.2, 100)
-    assert first == second
+    first = map_disk(GateParams(3, 1.0), (0.5, -0.5), 1.2, 100)
+    second = map_disk(GateParams(3, 1.0), (0.5, -0.5), 1.2, 100)
+    assert first.dropped == second.dropped
+    for a, b in zip((first.source, first.upper, first.lower),
+                    (second.source, second.upper, second.lower)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_map_disk_validation():
     with pytest.raises(ValueError):
-        map_disk(GateParams(1, 0.0), PhasePoint(0.0, 0.0), 0.0, 64)
+        map_disk(GateParams(1, 0.0), (0.0, 0.0), 0.0, 64)
     with pytest.raises(ValueError):
-        map_disk(GateParams(1, 0.0), PhasePoint(0.0, 0.0), 1.0, 7)
+        map_disk(GateParams(1, 0.0), (0.0, 0.0), 1.0, 7)

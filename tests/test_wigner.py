@@ -2,15 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.special import binom, genlaguerre
+from scipy.special import binom, factorial, genlaguerre
 
 from catgate.errors import GridCoverageError
-from catgate.gate import GateParams, perfect_cat
+from catgate.gate import GateParams, outcome_norm, perfect_cat
 from catgate.metrics import outcome_density
 from catgate.numerics import Grid1D, integration_weights
 from catgate.states import CoherentParams, coherent_wavefunction, fock_wavefunction
 from catgate.wigner import (
-    MehlerContext,
     WignerGrid,
     aligned_state_grid,
     default_axes,
@@ -83,13 +82,17 @@ def test_mehler_centered_slice_matches_laguerre(n):
 
 
 def test_mehler_context_consistent_with_density():
-    for n, x0, y_m in ((3, 0.0, 1.0), (8, 2.0, 0.5)):
-        ctx = MehlerContext.for_gate(GateParams(n, y_m), CoherentParams(x0, 0.0))
+    # N_n = sum_k C(2k,k)/4^k (delta^2/2)^(n-k)/(n-k)!, the normalization of the
+    # Wigner series, against SciPy and against the outcome density it also scales
+    for n, x0, y_m in ((3, 0.0, 1.0), (8, 2.0, 0.5), (40, -1.0, 6.0), (0, 1.0, -2.0)):
         delta = y_m - x0
+        k = np.arange(n + 1)
+        oracle = np.sum(binom(2 * k, k) / 4.0**k * (0.5 * delta**2) ** (n - k) / factorial(n - k))
+        np.testing.assert_allclose(outcome_norm(n, delta), oracle, rtol=1e-13)
         from_density = (
             outcome_density(n, x0, y_m) * np.sqrt(2.0 * np.pi) * np.exp(0.5 * delta**2)
         )
-        np.testing.assert_allclose(ctx.normalization, from_density, rtol=1e-12)
+        np.testing.assert_allclose(outcome_norm(n, delta), from_density, rtol=1e-12)
 
 
 def test_engines_agree_off_center():
