@@ -11,6 +11,7 @@ deterministic CLI on top.
 
 from .errors import (
     CatGateError,
+    ConvergenceError,
     GridCoverageError,
     PhaseDomainError,
     SingularShearError,
@@ -73,6 +74,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CatGateError",
+    "ConvergenceError",
     "GridCoverageError",
     "PhaseDomainError",
     "SingularShearError",

@@ -9,6 +9,10 @@ class CatGateError(Exception):
     """Base class for runtime failures of the simulation routines."""
 
 
+class ConvergenceError(CatGateError):
+    """An adaptive integral did not reach its tolerance, or went non-finite."""
+
+
 class GridCoverageError(CatGateError):
     """A grid does not cover the window a construction needs.
 

@@ -140,35 +140,40 @@ class TaylorPhase:
 
     phi(x) ~ theta0 + p_plus (x - center) + dp_plus (x - center)^2 for the
     upper branch; the lower branch is the complex conjugate pattern.
-    dp_plus is half the local shear d^2 phi/dx^2.
+    dp_plus is half the local shear d^2 phi/dx^2. Fields are floats for a
+    scalar center and arrays of the center's shape for an array center.
     """
 
-    center: float
-    theta0: float
-    p_plus: float
-    dp_plus: float
+    center: float | np.ndarray
+    theta0: float | np.ndarray
+    p_plus: float | np.ndarray
+    dp_plus: float | np.ndarray
 
 
-def taylor_phase(params: GateParams, center: float) -> TaylorPhase:
-    """Expand the branch phase around `center`.
+def taylor_phase(params: GateParams, center) -> TaylorPhase:
+    """Expand the branch phase around `center` (scalar or array).
 
-    Valid strictly inside the band; at or beyond the turning points the local
-    momentum vanishes or turns imaginary and SingularShearError is raised.
+    Valid strictly inside the band; if any center is at or beyond the
+    turning points the local momentum vanishes or turns imaginary and
+    SingularShearError is raised. A non-finite center raises ValueError.
     """
-    u = center - params.y_m
+    c = np.asarray(center, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("expansion center must be finite")
+    u = c - params.y_m
     disc = 2.0 * params.n + 1.0 - u * u
-    if disc <= 0.0:
+    if np.any(disc <= 0.0):
+        bad = c[disc <= 0.0].flat[0]
         raise SingularShearError(
-            f"center {center} is at or beyond the turning points of the n={params.n} "
+            f"center {bad} is at or beyond the turning points of the n={params.n} "
             f"resource around y_m={params.y_m}"
         )
-    p_plus = float(np.sqrt(disc))
-    return TaylorPhase(
-        center=float(center),
-        theta0=phase_function(params.n, u / params.radius),
-        p_plus=p_plus,
-        dp_plus=-u / (2.0 * p_plus),
-    )
+    p_plus = np.sqrt(disc)
+    theta0 = phase_function(params.n, u / params.radius)
+    dp_plus = -u / (2.0 * p_plus)
+    if c.ndim == 0:
+        return TaylorPhase(float(c), float(theta0), float(p_plus), float(dp_plus))
+    return TaylorPhase(c, theta0, p_plus, dp_plus)
 
 
 def perfect_cat(params: GateParams, inp: CoherentParams) -> CatSuperposition:

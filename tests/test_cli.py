@@ -143,6 +143,15 @@ def test_invalid_library_configuration_exits_2(capsys):
     assert err.startswith("invalid configuration:")
 
 
+def test_unconverged_window_integral_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(catgate.metrics, "_ADAPTIVE_TOL", 0.0)
+    monkeypatch.setattr(catgate.metrics, "_MAX_NODES", 401)
+    assert main(["mixed-fidelity", "--n", "1", "--d", "0.1"]) == 3
+    captured = capsys.readouterr()
+    assert "did not converge" in captured.err
+    assert captured.out == ""
+
+
 def test_singular_window_exits_3(capsys):
     assert main(["mixed-fidelity", "--n", "5", "--d", "10"]) == 3
     err = capsys.readouterr().err

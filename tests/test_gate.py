@@ -123,6 +123,31 @@ def test_taylor_phase_singular_at_turning_point():
         taylor_phase(GateParams(1, 0.0), 2.5)
 
 
+def test_taylor_phase_array_matches_scalar_calls():
+    params = GateParams(7, 0.4)
+    centers = np.linspace(-3.0, 3.5, 53).reshape(1, 53)
+    tp = taylor_phase(params, centers)
+    for field in ("center", "theta0", "p_plus", "dp_plus"):
+        values = getattr(tp, field)
+        assert values.shape == centers.shape
+        scalar = [getattr(taylor_phase(params, c), field) for c in centers.ravel()]
+        np.testing.assert_array_max_ulp(values.ravel(), np.array(scalar), maxulp=1)
+
+
+def test_taylor_phase_array_rejects_any_bad_center():
+    with pytest.raises(SingularShearError):
+        taylor_phase(GateParams(4, 0.0), np.array([0.0, 1.0, 3.0]))
+    with pytest.raises(SingularShearError):
+        taylor_phase(GateParams(1, 0.0), np.array([-2.5, 0.0]))
+    with pytest.raises(ValueError):
+        taylor_phase(GateParams(1, 0.0), np.array([0.0, np.nan]))
+
+
+def test_taylor_phase_scalar_center_gives_floats():
+    tp = taylor_phase(GateParams(3, 0.2), np.float64(1.1))
+    assert all(type(v) is float for v in (tp.center, tp.theta0, tp.p_plus, tp.dp_plus))
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_perfect_cat_components(n):
     params = GateParams(n, 0.7)

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
-from catgate.errors import SingularShearError
+from catgate.errors import ConvergenceError, SingularShearError
 from catgate.metrics import (
+    _adaptive_nodes,
+    _overlap_integrand,
     AcceptanceWindow,
     fidelity,
     fidelity_cat_scan,
@@ -161,3 +166,54 @@ def test_mixed_fidelity_window_must_track_input():
 def test_mixed_fidelity_rejects_window_past_turning_point():
     with pytest.raises(SingularShearError):
         mixed_fidelity(1, 0.0, AcceptanceWindow(0.0, 2.0 * np.sqrt(3.0) + 0.1))
+
+
+def _overlap_sq_closed_form(n, x0, y):
+    """|<cat(y)|psi~(y)>|^2 from the Hermite generating function.
+
+    int pi^{-1/2} e^{-(u+d)^2} e^{-iku} h_n(u) du = C sqrt(n!) [t^n] e^{at + bt^2}
+    with d = y - x0, a = -sqrt(2)(2d + ik)/3, b = -1/6 and
+    C = sqrt(2/3) pi^{-1/4} e^{(2d + ik)^2/6 - d^2}. The coefficients
+    c_m = [t^m] e^{at + bt^2} follow m c_m = a c_{m-1} + 2b c_{m-2}; the loop
+    carries g_m = sqrt(m!) c_m, which stays finite for n into the thousands.
+    """
+    d = y - x0
+    r2 = 2.0 * n + 1.0
+    z = -d / math.sqrt(r2)
+    theta0 = r2 * (z * math.sqrt(1.0 - z * z) + math.asin(z)) / 2.0
+    p = math.sqrt(r2 - d * d)
+
+    def transform(k):
+        a = -math.sqrt(2.0) * (2.0 * d + 1j * k) / 3.0
+        g_prev, g = 0j, 1.0 + 0j
+        for m in range(1, n + 1):
+            g, g_prev = a * g / math.sqrt(m) - g_prev * math.sqrt((m - 1) / m) / 3.0, g
+        c = math.sqrt(2.0 / 3.0) * math.pi**-0.25 * cmath.exp((2.0 * d + 1j * k) ** 2 / 6.0 - d * d)
+        return c * g
+
+    sign = -1.0 if n % 2 else 1.0
+    phase = cmath.exp(1j * (theta0 + p * d))
+    value = transform(p) / phase + sign * phase * transform(-p)
+    return abs(value) ** 2 / (2.0 + 2.0 * sign * math.exp(-p * p) * math.cos(2.0 * theta0))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 15, 200, 1000])
+@pytest.mark.parametrize("x0", [0.0, 3.0])
+@pytest.mark.parametrize("width", [0.05, 1.0, 2.0])
+def test_overlap_integrand_matches_closed_form(n, x0, width):
+    ys = x0 + 0.5 * width * np.array([-1.0, -0.37, 0.0, 0.5, 1.0])
+    ys = ys[np.abs(ys - x0) < np.sqrt(2.0 * n + 1.0)]
+    expected = [_overlap_sq_closed_form(n, x0, y) for y in ys]
+    got = _overlap_integrand(n, x0, width)(ys)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_adaptive_nodes_rejects_non_finite_estimate():
+    with pytest.raises(ConvergenceError, match="nan at 201 nodes"):
+        _adaptive_nodes(0.0, 1.0, lambda ys: np.full(ys.size, np.nan))
+
+
+def test_adaptive_nodes_raises_when_not_converged():
+    # the estimate equals the node count, so successive levels never agree
+    with pytest.raises(ConvergenceError, match="within 6401 nodes"):
+        _adaptive_nodes(0.0, 1.0, lambda ys: np.full(ys.size, float(ys.size)))
