@@ -14,6 +14,7 @@ from .errors import (
     ConvergenceError,
     GridCoverageError,
     PhaseDomainError,
+    SeriesOverflowError,
     SingularShearError,
     ZeroProbabilityError,
     ZeroStateError,
@@ -77,6 +78,7 @@ __all__ = [
     "ConvergenceError",
     "GridCoverageError",
     "PhaseDomainError",
+    "SeriesOverflowError",
     "SingularShearError",
     "ZeroProbabilityError",
     "ZeroStateError",

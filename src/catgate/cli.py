@@ -2,14 +2,16 @@
 
 Every command writes one table: a header of glossary symbols and one
 record per scan point, all floats serialized with 17 significant digits.
-Identical invocations produce byte-identical files; timing metadata is
-opt-in for that reason. Exit status is 0 on success, 2 for an invalid
-configuration, 3 when the numerics refuse the requested point.
+Rows are formatted and written in blocks, so the whole document is never
+held in memory. Identical invocations produce byte-identical files; timing
+metadata is opt-in for that reason. Exit status is 0 on success, 2 for an
+invalid configuration, 3 when the numerics refuse the requested point.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -190,15 +192,60 @@ _HANDLERS = {
 }
 
 
-def _row_template(data: list[np.ndarray], label: str) -> str:
-    """One row's format: %.17g per numeric column, `label` per string column."""
-    return ",".join(label if c.dtype.kind == "U" else "%.17g" for c in data)
+# Rows per written block, and per slice of distinct values formatted at once.
+_BLOCK_ROWS = 1 << 14
+# Bytes of the widest %.17g of a double, e.g. -2.2250738585072014e-308.
+_NUMBER_WIDTH = 24
 
 
-def _render_csv(columns: list[str], data: list[np.ndarray]) -> str:
-    template = _row_template(data, "%s") + "\n"
-    body = "".join(template % row for row in zip(*(c.tolist() for c in data)))
-    return ",".join(columns) + "\n" + body
+def _distinct_cells(column: np.ndarray, quote) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct value of `column` as text in a fixed-width byte array,
+    and the index of every row into that array.
+
+    Numbers are told apart by their bit pattern, so -0.0 and 0.0 keep their
+    own text, and each is formatted once with %.17g. Labels pass through
+    `quote` once each.
+    """
+    if column.dtype.kind == "U":
+        labels, index = np.unique(column, return_inverse=True)
+        return np.array([quote(s).encode() for s in labels.tolist()], dtype=bytes), index
+    keys, index = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
+    values = keys.view(column.dtype)
+    cells = np.empty(values.size, dtype=f"S{_NUMBER_WIDTH}")
+    for start in range(0, values.size, _BLOCK_ROWS):
+        chunk = values[start : start + _BLOCK_ROWS].tolist()
+        cells[start : start + _BLOCK_ROWS] = [b"%.17g" % v for v in chunk]
+    return cells, index
+
+
+def _row_blocks(data: list[np.ndarray], quote, lead: bytes, end: bytes):
+    """The rows as text, _BLOCK_ROWS at a time: each row is `lead`, its
+    cells joined by commas, then `end`.
+
+    A block is a uint8 matrix with one fixed-width slot per cell; dropping
+    the NUL padding of the slots leaves the row text.
+    """
+    cells = [_distinct_cells(c, quote) for c in data]
+    template = bytearray(lead)
+    slots = []
+    for i, (text, _) in enumerate(cells):
+        if i:
+            template += b","
+        slots.append(slice(len(template), len(template) + text.itemsize))
+        template += bytes(text.itemsize)
+    template += end
+    row = np.frombuffer(bytes(template), dtype=np.uint8)
+    for start in range(0, data[0].size, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, data[0].size)
+        block = np.tile(row, (stop - start, 1))
+        for (text, index), slot in zip(cells, slots):
+            block[:, slot] = text[index[start:stop]].view(np.uint8).reshape(stop - start, -1)
+        yield block[block != 0].tobytes().decode()
+
+
+def _render_csv(columns: list[str], data: list[np.ndarray]):
+    yield ",".join(columns) + "\n"
+    yield from _row_blocks(data, str, b"", b"\n")
 
 
 def _json_text(value) -> str:
@@ -220,29 +267,20 @@ def _json_text(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _render_json(config: RunConfig, columns, data, metadata) -> str:
-    """JSON document; rows are formatted column-wise like CSV, labels quoted by json.dumps."""
-    cells = []
-    for c in data:
-        if c.dtype.kind == "U":
-            labels, index = np.unique(c, return_inverse=True)
-            c = np.array([json.dumps(s) for s in labels.tolist()])[index]
-        cells.append(c.tolist())
-    template = "[" + _row_template(data, "%s") + "]"
-    rows = ",".join(template % row for row in zip(*cells))
+def _render_json(config: RunConfig, columns, data, metadata):
+    """JSON document; rows are formatted like CSV, labels quoted by json.dumps."""
     echo = {
         "command": config.command,
         "parameters": _echo_parameters(config.parameters),
         "format": config.format,
         "out": config.output_path,
     }
-    return (
-        '{"config":' + _json_text(echo)
-        + ',"columns":' + _json_text(columns)
-        + ',"rows":[' + rows
-        + '],"metadata":' + _json_text(metadata)
-        + "}\n"
-    )
+    yield '{"config":' + _json_text(echo) + ',"columns":' + _json_text(columns) + ',"rows":['
+    # every row is led by a comma, which the first one drops
+    blocks = _row_blocks(data, json.dumps, b",[", b"]")
+    yield next(blocks, ",")[1:]
+    yield from blocks
+    yield '],"metadata":' + _json_text(metadata) + "}\n"
 
 
 def _echo_parameters(p: dict) -> dict:
@@ -263,21 +301,23 @@ def run(config: RunConfig) -> int:
         elapsed = time.perf_counter() - started
         if config.timings:
             metadata["timings"] = {"compute_seconds": elapsed}
-        if config.format == "csv":
-            text = _render_csv(columns, data)
-        else:
-            text = _render_json(config, columns, data, metadata)
     except CatGateError as exc:
         print(str(exc), file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    if config.output_path is None:
-        sys.stdout.write(text)
+    if config.format == "csv":
+        chunks = _render_csv(columns, data)
     else:
-        with open(config.output_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        chunks = _render_json(config, columns, data, metadata)
+    if config.output_path is None:
+        destination = contextlib.nullcontext(sys.stdout)
+    else:
+        destination = open(config.output_path, "w", encoding="utf-8", newline="\n")
+    with destination as stream:
+        for chunk in chunks:
+            stream.write(chunk)
     return 0
 
 

@@ -240,7 +240,7 @@ def mixed_fidelity(n: int, x0: float, window: AcceptanceWindow) -> float:
     lo = window.center - 0.5 * window.width
     hi = window.center + 0.5 * window.width
     numer = _adaptive_nodes(lo, hi, _overlap_integrand(n, x0, window.width))
-    denom = _adaptive_nodes(lo, hi, lambda ys: outcome_density(n, x0, ys))
+    denom = window_probability(n, x0, window)
     if denom < 1e-300:
         raise ZeroProbabilityError("window probability underflows; no outcomes accepted")
     return numer / denom

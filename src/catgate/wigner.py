@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridCoverageError
+from .errors import GridCoverageError, SeriesOverflowError
 from .gate import GateParams, exact_output, outcome_norm
 from .numerics import (
     Grid1D,
@@ -119,18 +119,25 @@ def wigner_mehler(
         ratio[1::2] = 1.0
         ratio[2::2] = -1.0
     a_expo = PowerSeries(ratio[:, None] * (2.0 * x_t * x_t)[None, :])
-    a_coeffs = series_mul(series_inv_sqrt_one_plus(1, n), series_exp(a_expo)).coeffs
-
     b_expo = np.zeros((n + 1, p_t.size))
     if n >= 1:
         b_expo[1] = 0.5 * p_t * p_t
-    b_coeffs = series_exp(PowerSeries(b_expo)).coeffs
-
-    values = a_coeffs.T @ b_coeffs[::-1]
     gauss_x = np.exp(-2.0 * (x_t + 0.5 * delta) ** 2)
     gauss_p = np.exp(-0.5 * p_t * p_t)
-    values *= gauss_x[:, None] * (1.0 / (np.pi * outcome_norm(n, delta)))
-    values *= gauss_p[None, :]
+    scale = 1.0 / (np.pi * outcome_norm(n, delta))
+
+    # the series outgrow double precision at several hundred photons, which
+    # shows as inf or nan values, checked once below
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_coeffs = series_mul(series_inv_sqrt_one_plus(1, n), series_exp(a_expo)).coeffs
+        b_coeffs = series_exp(PowerSeries(b_expo)).coeffs
+        values = a_coeffs.T @ b_coeffs[::-1]
+        values *= gauss_x[:, None] * scale
+        values *= gauss_p[None, :]
+    if not np.all(np.isfinite(values)):
+        raise SeriesOverflowError(
+            f"Wigner series overflows double precision at photon number n = {n}"
+        )
     return WignerGrid(x_axis, p_axis, values)
 
 

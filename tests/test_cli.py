@@ -8,9 +8,16 @@ import numpy as np
 import pytest
 
 import catgate
+import catgate.cli
 from catgate.cli import RunConfig, build_parser, main, run
 from catgate.gate import GateParams, perfect_cat
-from catgate.metrics import AcceptanceWindow, mixed_fidelity, outcome_density, window_probability
+from catgate.metrics import (
+    AcceptanceWindow,
+    fidelity_scl_scan,
+    mixed_fidelity,
+    outcome_density,
+    window_probability,
+)
 from catgate.numerics import Grid1D
 from catgate.phase_map import map_disk
 from catgate.states import CoherentParams
@@ -281,10 +288,17 @@ def _mixed_fidelity_table():
     return argv, echo, ["n", "x0", "d", "F_mix", "P"], rows, {}
 
 
-@pytest.mark.parametrize(
-    "table", [_wigner_table, _scl_map_table, _prob_density_table, _mixed_fidelity_table]
-)
-def test_renderer_matches_row_by_row_rule(table, capsys):
+def _signed_zero_table():
+    # -0.0 == 0.0, so a renderer that merged equal values would print one text for both
+    argv = ["fidelity-scan", "--n", "1,2", "--x0=-0,0", "--p0=-0"]
+    rows = [[n, 0.0, x0, -0.0, fidelity_scl_scan(n, 0.0, x0, -0.0)]
+            for x0 in (-0.0, 0.0) for n in (1, 2)]
+    assert ["%.17g" % row[2] for row in rows] == ["-0", "-0", "0", "0"]
+    echo = {"n": [1, 2], "x0": [-0.0, 0.0], "y_m": 0.0, "p0": -0.0}
+    return argv, echo, ["n", "y_m", "x0", "p0", "F_scl"], rows, {}
+
+
+def _assert_matches_reference(table, capsys):
     argv, echo, columns, rows, metadata = table()
     assert main(argv) == 0
     assert capsys.readouterr().out == _reference_csv(columns, rows)
@@ -292,6 +306,81 @@ def test_renderer_matches_row_by_row_rule(table, capsys):
     config = {"command": argv[0], "parameters": echo, "format": "json", "out": None}
     document = {"config": config, "columns": columns, "rows": rows, "metadata": metadata}
     assert capsys.readouterr().out == _reference_json(document) + "\n"
+
+
+_TABLES = [
+    _wigner_table, _scl_map_table, _prob_density_table, _mixed_fidelity_table, _signed_zero_table
+]
+
+
+@pytest.mark.parametrize("table", _TABLES)
+def test_renderer_matches_row_by_row_rule(table, capsys):
+    _assert_matches_reference(table, capsys)
+
+
+# the wigner table has 195 = 15 * 13 rows, so block 13 ends on its last row
+@pytest.mark.parametrize("block", [7, 13])
+@pytest.mark.parametrize("table", _TABLES)
+def test_renderer_block_boundaries(table, block, capsys, monkeypatch):
+    monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", block)
+    _assert_matches_reference(table, capsys)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_file_matches_stdout(fmt, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", 7)
+    argv = _wigner_table()[0] + ["--format", fmt]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    target = tmp_path / f"table.{fmt}"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    if fmt == "json":
+        # the document echoes its destination
+        expected = expected.replace('"out":null', '"out":' + json.dumps(str(target)), 1)
+    assert target.read_bytes() == expected.encode()
+
+
+class _SpyWriter:
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+
+def test_csv_streams_one_block_per_write(monkeypatch):
+    monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", 7)
+    spy = _SpyWriter()
+    monkeypatch.setattr("sys.stdout", spy)
+    assert main(["prob-density", "--n", "0,3,20", "--x0", "0.5", "--x-range=-2:3:11"]) == 0
+    row_counts = [text.count("\n") for text in spy.writes]
+    assert row_counts[0] == 1  # the header line
+    assert sum(row_counts) == 1 + 33
+    assert len(row_counts) > 2 and max(row_counts[1:]) <= 7
+
+
+def test_json_streams_one_block_per_write(monkeypatch):
+    monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", 7)
+    spy = _SpyWriter()
+    monkeypatch.setattr("sys.stdout", spy)
+    assert main(["prob-density", "--n", "0,3,20", "--x0", "0.5", "--x-range=-2:3:11",
+                 "--format", "json"]) == 0
+    head, *blocks, tail = spy.writes
+    assert head.endswith('"rows":[') and tail.startswith('],"metadata":')
+    # every row opens one bracket, and no number or label holds one
+    row_counts = [text.count("[") for text in blocks]
+    assert sum(row_counts) == len(json.loads("".join(spy.writes))["rows"]) == 33
+    assert len(blocks) > 1 and max(row_counts) <= 7
+
+
+def test_series_overflow_exits_3(capsys):
+    assert main(["wigner", "--n", "600"]) == 3
+    captured = capsys.readouterr()
+    assert "overflow" in captured.err and "n = 600" in captured.err
+    assert not captured.err.startswith("invalid configuration")
+    assert captured.out == ""
 
 
 def test_version_matches_pyproject():
