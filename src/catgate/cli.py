@@ -85,16 +85,10 @@ def _axis_spec(text: str, flag: str) -> Grid1D:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError(f"{flag} expects min:max:count")
-    if count < 2:
-        raise argparse.ArgumentTypeError(f"{flag} needs count >= 2")
     try:
         return Grid1D(lo, hi, count)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{flag}: {exc}")
-
-
-def _axis_echo(axis: Grid1D) -> dict:
-    return {"min": axis.x_min, "max": axis.x_max, "count": axis.count}
 
 
 def _product(outer, inner) -> tuple[np.ndarray, np.ndarray]:
@@ -260,6 +254,8 @@ def _json_text(value) -> str:
         return str(value)
     if isinstance(value, float):
         return "%.17g" % value
+    if isinstance(value, Grid1D):
+        return _json_text({"min": value.x_min, "max": value.x_max, "count": value.count})
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_json_text(v) for v in value) + "]"
     if isinstance(value, dict):
@@ -271,7 +267,7 @@ def _render_json(config: RunConfig, columns, data, metadata):
     """JSON document; rows are formatted like CSV, labels quoted by json.dumps."""
     echo = {
         "command": config.command,
-        "parameters": _echo_parameters(config.parameters),
+        "parameters": config.parameters,
         "format": config.format,
         "out": config.output_path,
     }
@@ -281,16 +277,6 @@ def _render_json(config: RunConfig, columns, data, metadata):
     yield next(blocks, ",")[1:]
     yield from blocks
     yield '],"metadata":' + _json_text(metadata) + "}\n"
-
-
-def _echo_parameters(p: dict) -> dict:
-    echo = {}
-    for key, value in p.items():
-        if isinstance(value, Grid1D):
-            echo[key] = _axis_echo(value)
-        else:
-            echo[key] = value
-    return echo
 
 
 def run(config: RunConfig) -> int:
@@ -332,6 +318,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one declaration of every parameter: each flag's dest is its key in
+    RunConfig.parameters, and flags are added in the order the JSON echoes
+    them. Ranges are left to the library, whose ValueError exits 2."""
     parser = argparse.ArgumentParser(
         prog="catgate",
         description="Measured-gate cat-state simulations: fidelity scans, "
@@ -344,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="photon numbers, e.g. 1,5,15 or 1:25")
     fs.add_argument("--x0", type=lambda s: _float_list(s, "--x0"), default=[0.0],
                     help="input displacements (comma list)")
-    fs.add_argument("--ym", type=float, default=0.0, help="homodyne outcome")
+    fs.add_argument("--ym", dest="y_m", type=float, default=0.0, help="homodyne outcome")
     fs.add_argument("--p0", type=float, default=0.0, help="input momentum")
     _add_common(fs)
 
@@ -353,36 +342,42 @@ def build_parser() -> argparse.ArgumentParser:
                     help="photon numbers, e.g. 1,5,15 or 1:25")
     cf.add_argument("--x0", type=lambda s: _float_list(s, "--x0"), default=[0.0],
                     help="input displacements (comma list)")
-    cf.add_argument("--ym", type=float, default=None, help="homodyne outcome (default 0)")
-    cf.add_argument("--ym-equals-x0", action="store_true",
-                    help="take the outcome equal to each x0 (the centered case)")
+    cf_outcome = cf.add_mutually_exclusive_group()
+    cf_outcome.add_argument("--ym", dest="y_m", type=float, default=0.0,
+                            help="homodyne outcome (default 0)")
     cf.add_argument("--p0", type=float, default=0.0, help="input momentum")
+    cf_outcome.add_argument("--ym-equals-x0", action="store_true",
+                            help="take the outcome equal to each x0 (the centered case)")
     _add_common(cf)
 
     wg = sub.add_parser("wigner", help="output-state Wigner map on a grid")
     wg.add_argument("--n", type=int, required=True, help="resource photon number")
     wg.add_argument("--x0", type=float, default=0.0, help="input displacement")
     wg.add_argument("--p0", type=float, default=0.0, help="input momentum")
-    wg.add_argument("--ym", type=float, default=0.0, help="homodyne outcome")
+    wg.add_argument("--ym", dest="y_m", type=float, default=0.0, help="homodyne outcome")
     wg.add_argument("--engine", choices=("mehler", "quadrature", "both"), default="mehler",
                     help="series engine, integration oracle, or both side by side")
     wg.add_argument("--with-cat", action="store_true",
                     help="append the ideal-cat reference Wigner column")
-    wg.add_argument("--x-range", type=lambda s: _axis_spec(s, "--x-range"), default=None,
-                    metavar="MIN:MAX:COUNT", help="x axis (default spans the output support)")
-    wg.add_argument("--p-range", type=lambda s: _axis_spec(s, "--p-range"), default=None,
-                    metavar="MIN:MAX:COUNT", help="p axis (default spans the output support)")
+    wg.add_argument("--x-range", dest="x_axis", type=lambda s: _axis_spec(s, "--x-range"),
+                    default=None, metavar="MIN:MAX:COUNT",
+                    help="x axis (default spans the output support)")
+    wg.add_argument("--p-range", dest="p_axis", type=lambda s: _axis_spec(s, "--p-range"),
+                    default=None, metavar="MIN:MAX:COUNT",
+                    help="p axis (default spans the output support)")
     _add_common(wg)
 
     pd = sub.add_parser("prob-density", help="homodyne outcome density")
     pd.add_argument("--n", type=lambda s: _int_list(s, "--n"), required=True,
                     help="photon numbers, e.g. 0,1,5")
     pd.add_argument("--x0", type=float, default=0.0, help="input displacement")
-    pd.add_argument("--ym", type=float, default=None,
-                    help="single outcome (omit to scan --x-range)")
-    pd.add_argument("--x-range", type=lambda s: _axis_spec(s, "--x-range"), default=None,
-                    metavar="MIN:MAX:COUNT",
-                    help="outcome scan axis (default x0-5:x0+5:201)")
+    pd_outcome = pd.add_mutually_exclusive_group()
+    pd_outcome.add_argument("--ym", dest="y_m", type=float, default=None,
+                            help="single outcome (omit to scan --x-range)")
+    pd_outcome.add_argument("--x-range", dest="y_axis",
+                            type=lambda s: _axis_spec(s, "--x-range"), default=None,
+                            metavar="MIN:MAX:COUNT",
+                            help="outcome scan axis (default x0-5:x0+5:201)")
     _add_common(pd)
 
     mf = sub.add_parser("mixed-fidelity", help="window-averaged cat fidelity vs window width")
@@ -395,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sm = sub.add_parser("scl-map", help="semiclassical image of an uncertainty disk")
     sm.add_argument("--n", type=int, required=True, help="resource photon number")
-    sm.add_argument("--ym", type=float, default=0.0, help="homodyne outcome")
+    sm.add_argument("--ym", dest="y_m", type=float, default=0.0, help="homodyne outcome")
     sm.add_argument("--x0", type=float, default=0.0, help="disk center q")
     sm.add_argument("--p0", type=float, default=0.0, help="disk center p")
     sm.add_argument("--radius", type=float, default=1.0, help="disk radius")
@@ -405,67 +400,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    cmd = args.command
-    if cmd == "fidelity-scan":
-        params = {"n": args.n, "x0": args.x0, "y_m": args.ym, "p0": args.p0}
-    elif cmd == "cat-fidelity":
-        if args.ym_equals_x0 and args.ym is not None:
-            parser.error("--ym conflicts with --ym-equals-x0")
-        params = {
-            "n": args.n,
-            "x0": args.x0,
-            "y_m": 0.0 if args.ym is None else args.ym,
-            "p0": args.p0,
-            "ym_equals_x0": args.ym_equals_x0,
-        }
-    elif cmd == "wigner":
-        if args.n < 0:
-            parser.error("--n must be nonnegative")
-        params = {
-            "n": args.n,
-            "x0": args.x0,
-            "p0": args.p0,
-            "y_m": args.ym,
-            "engine": args.engine,
-            "with_cat": args.with_cat,
-            "x_axis": args.x_range,
-            "p_axis": args.p_range,
-        }
-    elif cmd == "prob-density":
-        params = {"n": args.n, "x0": args.x0, "y_m": args.ym, "y_axis": args.x_range}
-    elif cmd == "mixed-fidelity":
-        if any(d <= 0 for d in args.d):
-            parser.error("--d widths must be positive")
-        params = {"n": args.n, "x0": args.x0, "d": args.d}
-    else:
-        if args.n < 0:
-            parser.error("--n must be nonnegative")
-        if args.samples < 8:
-            parser.error("--samples must be at least 8")
-        if args.radius <= 0:
-            parser.error("--radius must be positive")
-        params = {
-            "n": args.n,
-            "y_m": args.ym,
-            "x0": args.x0,
-            "p0": args.p0,
-            "radius": args.radius,
-            "samples": args.samples,
-        }
-    return RunConfig(
-        command=cmd,
-        parameters=params,
-        output_path=args.out,
-        format=args.format,
-        timings=args.timings,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return run(_resolve(args, parser))
+    parameters = vars(build_parser().parse_args(argv))
+    return run(
+        RunConfig(
+            command=parameters.pop("command"),
+            output_path=parameters.pop("out"),
+            format=parameters.pop("format"),
+            timings=parameters.pop("timings"),
+            parameters=parameters,
+        )
+    )
 
 
 if __name__ == "__main__":

@@ -6,14 +6,14 @@ Delta = y_m - x0 and has the closed generating-function form
     P(y_m, x0) = e^{-Delta^2/2} N_n / sqrt(2 pi),
     N_n = [rho^n] e^{rho Delta^2/2} (1 - rho)^{-1/2},
 
-which is what the default method evaluates; grid quadrature of
-|psi_in h_n|^2 is kept alongside as a cross-check. Window-averaged
-quantities integrate over the accepted outcomes with composite Simpson,
-doubling the node count until successive estimates agree to 1e-9, and
-raise ConvergenceError when they do not. The window-averaged fidelity's
-numerator is sampled in the outcome frame u = x - y, where the Hermite
-factor h_n(u) is the same for every outcome: it is evaluated once per call
-and shared by all nodes.
+which outcome_density evaluates for scalar or array outcomes, with no
+grid (the tests check it against grid quadrature of |psi_in h_n|^2).
+Window-averaged quantities integrate over the accepted outcomes with
+composite Simpson, doubling the node count until successive estimates
+agree to 1e-9, and raise ConvergenceError when they do not. The
+window-averaged fidelity's numerator is sampled in the outcome frame
+u = x - y, where the Hermite factor h_n(u) is the same for every outcome:
+it is evaluated once per call and shared by all nodes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .gate import (
     semiclassical_output,
     taylor_phase,
 )
-from .numerics import Grid1D, eval_hermite_fn, integrate, integration_weights
+from .numerics import Grid1D, eval_hermite_fn, integration_weights
 from .states import (
     CoherentParams,
     WaveFunctionGrid,
@@ -112,26 +112,15 @@ def fidelity_scl_scan(n: int, y_m: float, x0: float, p0: float = 0.0) -> float:
     return fidelity(out, semiclassical_output(params, psi_in))
 
 
-def outcome_density(n: int, x0: float, y_m, method: str = "series"):
+def outcome_density(n: int, x0: float, y_m):
     """Probability density of homodyne outcome y_m for coherent input (x0, any p0).
 
-    method "series" evaluates the generating-function coefficient (default)
-    and takes y_m as a scalar or an array; "quadrature" integrates
-    |psi_in h_n|^2 on a scan grid for one scalar y_m. The two agree to better
-    than 1e-10.
+    Evaluates the generating-function coefficient N_n; y_m is a scalar or
+    an array.
     """
-    if method == "series":
-        delta = np.atleast_1d(np.asarray(y_m, dtype=float)) - x0
-        dens = np.exp(-0.5 * delta * delta) * outcome_norm(n, delta) / np.sqrt(2.0 * np.pi)
-        return dens.reshape(np.shape(y_m)) if np.ndim(y_m) else float(dens[0])
-    if method == "quadrature":
-        grid = scan_grid(n, x0, y_m)
-        x = grid.xs
-        dens = (
-            np.exp(-((x - x0) ** 2)) / np.sqrt(np.pi) * eval_hermite_fn(n, x - y_m) ** 2
-        )
-        return float(integrate(dens, grid))
-    raise ValueError(f"unknown method {method!r}")
+    delta = np.atleast_1d(np.asarray(y_m, dtype=float)) - x0
+    dens = np.exp(-0.5 * delta * delta) * outcome_norm(n, delta) / np.sqrt(2.0 * np.pi)
+    return dens.reshape(np.shape(y_m)) if np.ndim(y_m) else float(dens[0])
 
 
 def _adaptive_nodes(lo: float, hi: float, evaluate) -> float:

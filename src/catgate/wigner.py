@@ -55,7 +55,7 @@ __all__ = [
 
 # state-boundary magnitude above which the zero-padded z integral is invalid
 _EDGE_TOL = 1e-12
-# default z-step of the oracle; first Simpson alias then sits far above the
+# z-step of the oracle; first Simpson alias then sits far above the
 # p-bandwidths occurring here
 _ORACLE_SPACING = 0.02
 
@@ -86,14 +86,15 @@ class WignerGrid:
         return float(wx @ self.values @ wp)
 
 
-def default_axes(params: GateParams, inp: CoherentParams, count: int = 201) -> tuple[Grid1D, Grid1D]:
-    """Axes framing the output support: x within 6 of the centre between x0
-    and y_m, p within 4 beyond the displaced components p0 +/- sqrt(2n+1)."""
+def default_axes(params: GateParams, inp: CoherentParams) -> tuple[Grid1D, Grid1D]:
+    """201-point axes framing the output support: x within 6 of the centre
+    between x0 and y_m, p within 4 beyond the displaced components
+    p0 +/- sqrt(2n+1)."""
     x_c = 0.5 * (inp.x0 + params.y_m)
     r = params.radius
     return (
-        Grid1D(x_c - 6.0, x_c + 6.0, count),
-        Grid1D(inp.p0 - r - 4.0, inp.p0 + r + 4.0, count),
+        Grid1D(x_c - 6.0, x_c + 6.0, 201),
+        Grid1D(inp.p0 - r - 4.0, inp.p0 + r + 4.0, 201),
     )
 
 
@@ -182,13 +183,11 @@ def wigner_quadrature(state: WaveFunctionGrid, x_axis: Grid1D, p_axis: Grid1D) -
     return WignerGrid(x_axis, p_axis, values.real)
 
 
-def aligned_state_grid(
-    x_axis: Grid1D, lo: float, hi: float, spacing: float = _ORACLE_SPACING
-) -> Grid1D:
-    """State grid for wigner_quadrature: an integer refinement of x_axis
-    extended to cover at least [lo, hi], so the requested samples stay exact
-    grid points of the state."""
-    refine = max(1, int(np.ceil(x_axis.spacing / spacing - 1e-12)))
+def aligned_state_grid(x_axis: Grid1D, lo: float, hi: float) -> Grid1D:
+    """State grid for wigner_quadrature: an integer refinement of x_axis, no
+    coarser than _ORACLE_SPACING, extended to cover at least [lo, hi], so the
+    requested samples stay exact grid points of the state."""
+    refine = max(1, int(np.ceil(x_axis.spacing / _ORACLE_SPACING - 1e-12)))
     h = x_axis.spacing / refine
     m_lo = max(0, int(np.ceil((x_axis.x_min - lo) / h)))
     m_hi = max(0, int(np.ceil((hi - x_axis.x_max) / h)))
@@ -200,27 +199,18 @@ def aligned_state_grid(
 
 
 def wigner_output_quadrature(
-    params: GateParams,
-    inp: CoherentParams,
-    x_axis: Grid1D,
-    p_axis: Grid1D,
-    spacing: float = _ORACLE_SPACING,
+    params: GateParams, inp: CoherentParams, x_axis: Grid1D, p_axis: Grid1D
 ) -> WignerGrid:
     """Oracle path for the output Wigner map: exact output on an aligned fine
     grid, then direct quadrature. Same signature contents as wigner_mehler so
     the two engines can be compared pointwise."""
-    state_grid = aligned_state_grid(x_axis, inp.x0 - 9.0, inp.x0 + 9.0, spacing)
+    state_grid = aligned_state_grid(x_axis, inp.x0 - 9.0, inp.x0 + 9.0)
     out = exact_output(params, coherent_wavefunction(inp, state_grid)).state
     return wigner_quadrature(out, x_axis, p_axis)
 
 
-def wigner_cat_reference(
-    cat: CatSuperposition,
-    x_axis: Grid1D,
-    p_axis: Grid1D,
-    spacing: float = _ORACLE_SPACING,
-) -> WignerGrid:
+def wigner_cat_reference(cat: CatSuperposition, x_axis: Grid1D, p_axis: Grid1D) -> WignerGrid:
     """Wigner map of an assembled cat, for side-by-side comparison plots."""
     x0s = [np.sqrt(2.0) * cat.alpha_plus.real, np.sqrt(2.0) * cat.alpha_minus.real]
-    state_grid = aligned_state_grid(x_axis, min(x0s) - 9.0, max(x0s) + 9.0, spacing)
+    state_grid = aligned_state_grid(x_axis, min(x0s) - 9.0, max(x0s) + 9.0)
     return wigner_quadrature(assemble_cat(cat, state_grid), x_axis, p_axis)

@@ -32,6 +32,7 @@ from catgate.wigner import (
     wigner_output_quadrature,
     wigner_quadrature,
 )
+from oracles import outcome_density_quadrature
 
 
 def _emit(capsys, number, passed, detail):
@@ -153,10 +154,7 @@ def test_criterion_5_outcome_density_structure(capsys):
         method_worst = max(
             method_worst,
             max(
-                abs(
-                    outcome_density(n, 0.0, y)
-                    - outcome_density(n, 0.0, y, method="quadrature")
-                )
+                abs(outcome_density(n, 0.0, y) - outcome_density_quadrature(n, 0.0, y))
                 for y in probe[::4]
             ),
         )

@@ -13,6 +13,7 @@ from catgate.cli import RunConfig, build_parser, main, run
 from catgate.gate import GateParams, perfect_cat
 from catgate.metrics import (
     AcceptanceWindow,
+    fidelity_cat_scan,
     fidelity_scl_scan,
     mixed_fidelity,
     outcome_density,
@@ -131,10 +132,18 @@ def test_scl_map_structure(capsys):
     assert doc["columns"] == ["branch", "q", "p"]
 
 
-def test_conflicting_outcome_flags_exit_2():
-    with pytest.raises(SystemExit) as info:
-        main(["cat-fidelity", "--n", "1", "--ym", "2", "--ym-equals-x0"])
-    assert info.value.code == 2
+def test_conflicting_outcome_flags_exit_2(capsys):
+    for argv in (
+        ["cat-fidelity", "--n", "1", "--ym", "2", "--ym-equals-x0"],
+        # a single outcome and an outcome scan
+        ["prob-density", "--n", "0", "--ym", "0", "--x-range=-2:2:5"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "not allowed with argument" in captured.err
+        assert captured.out == ""
 
 
 def test_malformed_n_exits_2(capsys):
@@ -197,6 +206,12 @@ def test_parser_rejects_bad_axis_spec():
         ["fidelity-scan", "--n", "1", "--p0", "nan"],
         ["cat-fidelity", "--n", "1", "--p0", "inf"],
         ["mixed-fidelity", "--n", "1", "--d", "inf"],
+        # values out of range: the parser leaves these checks to the library
+        ["wigner", "--n", "-1"],
+        ["scl-map", "--n", "-1"],
+        ["scl-map", "--n", "4", "--samples", "7"],
+        ["scl-map", "--n", "4", "--radius", "0"],
+        ["mixed-fidelity", "--n", "1", "--d", "0,1"],
     ],
 )
 def test_non_finite_parameters_exit_2(argv, capsys):
@@ -204,6 +219,27 @@ def test_non_finite_parameters_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("invalid configuration:")
     assert captured.out == ""
+
+
+_COMMON_FLAGS = {"--help", "--format", "--out", "--timings"}
+_FLAGS = {
+    "fidelity-scan": {"--n", "--x0", "--ym", "--p0"},
+    "cat-fidelity": {"--n", "--x0", "--ym", "--ym-equals-x0", "--p0"},
+    "wigner": {"--n", "--x0", "--p0", "--ym", "--engine", "--with-cat", "--x-range",
+               "--p-range"},
+    "prob-density": {"--n", "--x0", "--ym", "--x-range"},
+    "mixed-fidelity": {"--n", "--x0", "--d"},
+    "scl-map": {"--n", "--ym", "--x0", "--p0", "--radius", "--samples"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_help_names_every_flag(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    named = set(re.findall(r"--[a-z][\w-]*", capsys.readouterr().out))
+    assert named == _FLAGS[command] | _COMMON_FLAGS
 
 
 def _reference_json(value) -> str:
@@ -231,6 +267,16 @@ def _reference_csv(columns, rows) -> str:
 
 def _axis(lo, hi, count):
     return {"min": lo, "max": hi, "count": count}
+
+
+def _cat_fidelity_table():
+    # the centred case: each row's outcome is its x0; the echo keeps the
+    # declared order n, x0, y_m, p0, ym_equals_x0 whatever the argv order
+    argv = ["cat-fidelity", "--ym-equals-x0", "--x0", "0,1", "--n", "1,2"]
+    rows = [[n, x0, x0, 0.0, fidelity_cat_scan(n, x0, x0, 0.0)]
+            for x0 in (0.0, 1.0) for n in (1, 2)]
+    echo = {"n": [1, 2], "x0": [0.0, 1.0], "y_m": 0.0, "p0": 0.0, "ym_equals_x0": True}
+    return argv, echo, ["n", "y_m", "x0", "p0", "F_cat"], rows, {}
 
 
 def _wigner_table():
@@ -309,7 +355,12 @@ def _assert_matches_reference(table, capsys):
 
 
 _TABLES = [
-    _wigner_table, _scl_map_table, _prob_density_table, _mixed_fidelity_table, _signed_zero_table
+    _wigner_table,
+    _scl_map_table,
+    _prob_density_table,
+    _mixed_fidelity_table,
+    _signed_zero_table,
+    _cat_fidelity_table,
 ]
 
 

@@ -21,6 +21,7 @@ from catgate.metrics import (
 )
 from catgate.numerics import Grid1D, integration_weights
 from catgate.states import CoherentParams, coherent_wavefunction
+from oracles import outcome_density_quadrature
 
 
 def test_window_validation():
@@ -99,13 +100,8 @@ def test_density_shift_and_evenness(n, delta):
 def test_density_series_matches_quadrature(n):
     for y_m in (0.0, 1.1, 3.4):
         series = outcome_density(n, 0.3, y_m)
-        quad = outcome_density(n, 0.3, y_m, method="quadrature")
+        quad = outcome_density_quadrature(n, 0.3, y_m)
         np.testing.assert_allclose(series, quad, rtol=0, atol=1e-12)
-
-
-def test_density_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        outcome_density(1, 0.0, 0.0, method="montecarlo")
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 15])
