@@ -53,7 +53,7 @@ class RunConfig:
     timings: bool = False
 
 
-def _int_list(text: str, flag: str) -> list[int]:
+def _int_list(text: str) -> list[int]:
     """Parse '1,5,15' or '1:25' (inclusive range) or a mix of both."""
     out: list[int] = []
     try:
@@ -64,31 +64,31 @@ def _int_list(text: str, flag: str) -> list[int]:
             else:
                 out.append(int(token))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{flag} expects integers like 1,5,15 or 1:25")
+        raise argparse.ArgumentTypeError("expects integers like 1,5,15 or 1:25")
     if not out or any(v < 0 for v in out):
-        raise argparse.ArgumentTypeError(f"{flag} expects nonnegative integers")
+        raise argparse.ArgumentTypeError("expects nonnegative integers")
     return out
 
 
-def _float_list(text: str, flag: str) -> list[float]:
+def _float_list(text: str) -> list[float]:
     try:
         return [float(token) for token in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{flag} expects numbers like 0,1.5,2")
+        raise argparse.ArgumentTypeError("expects numbers like 0,1.5,2")
 
 
-def _axis_spec(text: str, flag: str) -> Grid1D:
+def _axis_spec(text: str) -> Grid1D:
     parts = text.split(":")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"{flag} expects min:max:count")
+        raise argparse.ArgumentTypeError("expects min:max:count")
     try:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{flag} expects min:max:count")
+        raise argparse.ArgumentTypeError("expects min:max:count")
     try:
         return Grid1D(lo, hi, count)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{flag}: {exc}")
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _product(outer, inner) -> tuple[np.ndarray, np.ndarray]:
@@ -329,18 +329,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fs = sub.add_parser("fidelity-scan", help="exact-vs-semiclassical fidelity over n and x0")
-    fs.add_argument("--n", type=lambda s: _int_list(s, "--n"), required=True,
+    fs.add_argument("--n", type=_int_list, required=True,
                     help="photon numbers, e.g. 1,5,15 or 1:25")
-    fs.add_argument("--x0", type=lambda s: _float_list(s, "--x0"), default=[0.0],
+    fs.add_argument("--x0", type=_float_list, default=[0.0],
                     help="input displacements (comma list)")
     fs.add_argument("--ym", dest="y_m", type=float, default=0.0, help="homodyne outcome")
     fs.add_argument("--p0", type=float, default=0.0, help="input momentum")
     _add_common(fs)
 
     cf = sub.add_parser("cat-fidelity", help="exact-output vs ideal-cat fidelity")
-    cf.add_argument("--n", type=lambda s: _int_list(s, "--n"), required=True,
+    cf.add_argument("--n", type=_int_list, required=True,
                     help="photon numbers, e.g. 1,5,15 or 1:25")
-    cf.add_argument("--x0", type=lambda s: _float_list(s, "--x0"), default=[0.0],
+    cf.add_argument("--x0", type=_float_list, default=[0.0],
                     help="input displacements (comma list)")
     cf_outcome = cf.add_mutually_exclusive_group()
     cf_outcome.add_argument("--ym", dest="y_m", type=float, default=0.0,
@@ -359,32 +359,32 @@ def build_parser() -> argparse.ArgumentParser:
                     help="series engine, integration oracle, or both side by side")
     wg.add_argument("--with-cat", action="store_true",
                     help="append the ideal-cat reference Wigner column")
-    wg.add_argument("--x-range", dest="x_axis", type=lambda s: _axis_spec(s, "--x-range"),
+    wg.add_argument("--x-range", dest="x_axis", type=_axis_spec,
                     default=None, metavar="MIN:MAX:COUNT",
                     help="x axis (default spans the output support)")
-    wg.add_argument("--p-range", dest="p_axis", type=lambda s: _axis_spec(s, "--p-range"),
+    wg.add_argument("--p-range", dest="p_axis", type=_axis_spec,
                     default=None, metavar="MIN:MAX:COUNT",
                     help="p axis (default spans the output support)")
     _add_common(wg)
 
     pd = sub.add_parser("prob-density", help="homodyne outcome density")
-    pd.add_argument("--n", type=lambda s: _int_list(s, "--n"), required=True,
+    pd.add_argument("--n", type=_int_list, required=True,
                     help="photon numbers, e.g. 0,1,5")
     pd.add_argument("--x0", type=float, default=0.0, help="input displacement")
     pd_outcome = pd.add_mutually_exclusive_group()
     pd_outcome.add_argument("--ym", dest="y_m", type=float, default=None,
                             help="single outcome (omit to scan --x-range)")
     pd_outcome.add_argument("--x-range", dest="y_axis",
-                            type=lambda s: _axis_spec(s, "--x-range"), default=None,
+                            type=_axis_spec, default=None,
                             metavar="MIN:MAX:COUNT",
                             help="outcome scan axis (default x0-5:x0+5:201)")
     _add_common(pd)
 
     mf = sub.add_parser("mixed-fidelity", help="window-averaged cat fidelity vs window width")
-    mf.add_argument("--n", type=lambda s: _int_list(s, "--n"), required=True,
+    mf.add_argument("--n", type=_int_list, required=True,
                     help="photon numbers, e.g. 1,5,15")
     mf.add_argument("--x0", type=float, default=0.0, help="input displacement and window center")
-    mf.add_argument("--d", type=lambda s: _float_list(s, "--d"), required=True,
+    mf.add_argument("--d", type=_float_list, required=True,
                     help="acceptance-window widths, e.g. 0.1,0.5,1,2")
     _add_common(mf)
 

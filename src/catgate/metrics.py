@@ -11,9 +11,12 @@ grid (the tests check it against grid quadrature of |psi_in h_n|^2).
 Window-averaged quantities integrate over the accepted outcomes with
 composite Simpson, doubling the node count until successive estimates
 agree to 1e-9, and raise ConvergenceError when they do not. The
-window-averaged fidelity's numerator is sampled in the outcome frame
-u = x - y, where the Hermite factor h_n(u) is the same for every outcome:
-it is evaluated once per call and shared by all nodes.
+window-averaged fidelity's numerator has a closed form at each node: a
+Hermite generating-function coefficient, computed for all nodes at once by
+one complex three-term recurrence of n steps, O(n) work per node and no
+grid. Against u-grid Simpson quadrature (a test oracle) it agrees to a
+relative 2e-15 at n = 15, 3e-14 at n = 200, 1e-13 at n = 10^3 and 1.3e-12
+at n = 10^4.
 """
 
 from __future__ import annotations
@@ -22,7 +25,12 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, SingularShearError, ZeroProbabilityError
+from .errors import (
+    ConvergenceError,
+    SeriesOverflowError,
+    SingularShearError,
+    ZeroProbabilityError,
+)
 from .gate import (
     GateParams,
     exact_output,
@@ -31,7 +39,7 @@ from .gate import (
     semiclassical_output,
     taylor_phase,
 )
-from .numerics import Grid1D, eval_hermite_fn, integration_weights
+from .numerics import Grid1D, integration_weights
 from .states import (
     CoherentParams,
     WaveFunctionGrid,
@@ -116,10 +124,20 @@ def outcome_density(n: int, x0: float, y_m):
     """Probability density of homodyne outcome y_m for coherent input (x0, any p0).
 
     Evaluates the generating-function coefficient N_n; y_m is a scalar or
-    an array.
+    an array. N_n outgrows double precision when n and |y_m - x0| are both
+    large (n = 300 at an offset of 60); SeriesOverflowError is raised then
+    rather than a nan returned.
     """
     delta = np.atleast_1d(np.asarray(y_m, dtype=float)) - x0
-    dens = np.exp(-0.5 * delta * delta) * outcome_norm(n, delta) / np.sqrt(2.0 * np.pi)
+    # an overflowed N_n shows as inf, and as nan once e^{-delta^2/2} is 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        dens = np.exp(-0.5 * delta * delta) * outcome_norm(n, delta) / np.sqrt(2.0 * np.pi)
+    if not np.all(np.isfinite(dens)):
+        bad = delta[~np.isfinite(dens)][0]
+        raise SeriesOverflowError(
+            f"outcome density series overflows double precision at photon number n = {n}, "
+            f"offset y_m - x0 = {bad}"
+        )
     return dens.reshape(np.shape(y_m)) if np.ndim(y_m) else float(dens[0])
 
 
@@ -157,47 +175,64 @@ def window_probability(n: int, x0: float, window: AcceptanceWindow) -> float:
     return _adaptive_nodes(lo, hi, lambda ys: outcome_density(n, x0, ys))
 
 
-def _overlap_integrand(n: int, x0: float, width: float):
-    """Numerator integrand of mixed_fidelity for a window of `width` at x0.
+# Steps of the overlap recurrence between rescalings of its two rows.
+_RESCALE_STEPS = 32
 
-    Returns weighted_overlap_sq(ys) = |<cat(y)|psi~(y)>|^2 for outcomes ys
-    with |y - x0| <= width/2, evaluated in the outcome frame u = x - y. With
-    d = y - x0 the overlap is
 
-        pi^{-1/2} int e^{-(u+d)^2} h_n(u) conj(cat)(c) du,
-        c = theta0 + p_plus (u + d),
+def _overlap_sq(n: int, x0: float, ys: np.ndarray) -> np.ndarray:
+    """|<cat(y)|psi~(y)>|^2 for outcomes ys, from the Hermite generating function.
 
-    where conj(cat) = e^{-ic} + s e^{ic} is 2 cos c for s = +1 and -2i sin c
-    for s = -1, s = (-1)^n. Only the envelope and the carrier depend on y, so
-    h_n, the Simpson weights and pi^{-1/2} are folded once into one weight
-    vector. The u-grid spans [-8 - width/2, 8 + width/2], where the envelope
-    is below e^{-64} for every accepted d, at a spacing no coarser than
-    (16 + 2 sqrt(2n+1) + width)/4000.
+    With d = y - x0, the cat reference conj(cat)(u) = e^{-ic} + s e^{ic},
+    c = theta0 + k (u + d), k = p_plus and s = (-1)^n, the overlap is
+    X + s conj(X) = 2 Re X (n even) or 2i Im X (n odd), with
+
+        X = e^{-i(theta0 + k d)} T(k),
+        T(k) = pi^{-1/2} int e^{-(u+d)^2} e^{-iku} h_n(u) du
+             = sqrt(2/3) pi^{-1/4} e^{w^2/6 - d^2} g_n,   w = 2d + ik,
+
+    since h_n is real, the other branch is T(-k) = conj T(k). Here
+    g_m = sqrt(m!) [t^m] e^{at - t^2/6} with a = -sqrt(2) w/3, so that
+    g_m = a g_{m-1}/sqrt(m) - g_{m-2} sqrt((m-1)/m)/3 from g_0 = 1: n steps
+    over all nodes at once, O(n) work per node. Each step multiplies by w
+    and takes -sqrt(2)/3 into its own scalar, so the rounding of a does not
+    compound over the n steps. |e^{w^2/6 - d^2}| = e^{-(2n+1+d^2)/6} while
+    g_n grows about as fast, so every
+    _RESCALE_STEPS steps both rows are divided by the power of two just
+    above their larger magnitude, which is exact, and its integer exponent
+    joins the exponential at the end: n = 10^4 stays finite, and no rounded
+    logarithm accumulates.
     """
-    half = 8.0 + 0.5 * width
-    step = (16.0 + 2.0 * np.sqrt(2.0 * n + 1.0) + width) / 4000.0
-    grid = Grid1D(-half, half, 2 * math.ceil(half / step) + 1)
-    u = grid.xs
-    weights = integration_weights(grid) * eval_hermite_fn(n, u) / np.sqrt(np.pi)
+    d = ys - x0
+    # branch data at the input centre for outcome y depend on x0 - y only
+    tp = taylor_phase(GateParams(n, 0.0), -d)
+    k = tp.p_plus
+    w = 2.0 * d + 1j * k
+    g_prev = np.zeros(d.size, dtype=complex)
+    g = np.ones(d.size, dtype=complex)
+    g_next = np.empty(d.size, dtype=complex)
+    # the recurrence's values are g 2^binexp
+    binexp = np.zeros(d.size, dtype=int)
+    for m in range(1, n + 1):
+        np.multiply(w, g, out=g_next)
+        g_next *= -math.sqrt(2.0 / m) / 3.0
+        g_prev *= math.sqrt((m - 1) / m) / 3.0
+        g_next -= g_prev
+        g_prev, g, g_next = g, g_next, g_prev
+        if m % _RESCALE_STEPS == 0:
+            _, shift = np.frexp(np.maximum(np.abs(g), np.abs(g_prev)))
+            scale = np.ldexp(1.0, -shift)
+            g *= scale
+            g_prev *= scale
+            binexp += shift
+    # Re and Im of w^2/6 - d^2 - i(theta0 + k d), plus the carried scale
+    expo = binexp * math.log(2.0) - (2.0 * d * d + k * k) / 6.0
+    phase = tp.theta0 + k * d / 3.0
+    x = np.exp(expo - 1j * phase) * g * (math.sqrt(2.0 / 3.0) * math.pi**-0.25)
     sign = -1.0 if n % 2 else 1.0
-    trig = np.sin if n % 2 else np.cos
-    params = GateParams(n, 0.0)
-
-    def weighted_overlap_sq(ys: np.ndarray) -> np.ndarray:
-        d = ys - x0
-        # branch data at the input centre for outcome y depend on x0 - y only
-        tp = taylor_phase(params, -d)
-        out = np.empty(ys.size)
-        for i in range(0, ys.size, 256):
-            rows = slice(i, i + 256)
-            shifted = u[None, :] + d[rows, None]
-            carrier = tp.theta0[rows, None] + tp.p_plus[rows, None] * shifted
-            out[rows] = (np.exp(-shifted * shifted) * trig(carrier)) @ weights
-        # analytic norm of the cat built on the coherent envelope
-        norm = 2.0 + 2.0 * sign * np.exp(-tp.p_plus**2) * np.cos(2.0 * tp.theta0)
-        return 4.0 * out**2 / norm
-
-    return weighted_overlap_sq
+    part = x.imag if n % 2 else x.real
+    # analytic norm of the cat built on the coherent envelope
+    norm = 2.0 + 2.0 * sign * np.exp(-k * k) * np.cos(2.0 * tp.theta0)
+    return 4.0 * part**2 / norm
 
 
 def mixed_fidelity(n: int, x0: float, window: AcceptanceWindow) -> float:
@@ -213,10 +248,11 @@ def mixed_fidelity(n: int, x0: float, window: AcceptanceWindow) -> float:
     revivals beyond), which is a property of an unadapted receiver rather
     than of the gate. The numerator integrand is evaluated as the squared
     unnormalized overlap |<cat(y)|psi~(y)>|^2 = P(y) F_cat(y), finite even
-    where P alone underflows. It is computed in the outcome frame u = x - y,
-    where h_n(u) does not depend on y: one Hermite evaluation per call feeds
-    every node, and each node costs one real exponential and one real cosine
-    or sine row (see _overlap_integrand).
+    where P alone underflows. At each node it is a closed form, a Hermite
+    generating-function coefficient that one n-step recurrence gives for
+    all nodes of a level at once (see _overlap_sq): O(n) work per node, no
+    grid, and a relative error that grows about linearly with n, 3e-14 at
+    n = 200 and 1.3e-12 at n = 10^4 against u-grid quadrature.
     """
     if abs(window.center - x0) > 1e-9:
         raise ValueError("acceptance window must be centred at y_m = x0")
@@ -228,7 +264,7 @@ def mixed_fidelity(n: int, x0: float, window: AcceptanceWindow) -> float:
         )
     lo = window.center - 0.5 * window.width
     hi = window.center + 0.5 * window.width
-    numer = _adaptive_nodes(lo, hi, _overlap_integrand(n, x0, window.width))
+    numer = _adaptive_nodes(lo, hi, lambda ys: _overlap_sq(n, x0, ys))
     denom = window_probability(n, x0, window)
     if denom < 1e-300:
         raise ZeroProbabilityError("window probability underflows; no outcomes accepted")

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from catgate.gate import GateParams, taylor_phase
 from catgate.metrics import scan_grid
-from catgate.numerics import eval_hermite_fn, integrate
+from catgate.numerics import Grid1D, eval_hermite_fn, integrate, integration_weights
 
 
 def outcome_density_quadrature(n: int, x0: float, y_m: float) -> float:
@@ -15,3 +18,32 @@ def outcome_density_quadrature(n: int, x0: float, y_m: float) -> float:
     x = grid.xs
     dens = np.exp(-((x - x0) ** 2)) / np.sqrt(np.pi) * eval_hermite_fn(n, x - y_m) ** 2
     return float(integrate(dens, grid))
+
+
+def overlap_sq_quadrature(n: int, x0: float, width: float, ys: np.ndarray) -> np.ndarray:
+    """|<cat(y)|psi~(y)>|^2 for outcomes ys with |y - x0| <= width/2, by Simpson
+    quadrature in the outcome frame u = x - y, independent of the generating-
+    function recurrence in metrics._overlap_sq. With d = y - x0 the overlap is
+
+        pi^{-1/2} int e^{-(u+d)^2} h_n(u) conj(cat)(c) du,
+        c = theta0 + p_plus (u + d),
+
+    where conj(cat) = e^{-ic} + s e^{ic} is 2 cos c for s = +1 and -2i sin c
+    for s = -1, s = (-1)^n. The u-grid spans [-8 - width/2, 8 + width/2],
+    where the envelope is below e^{-64} for every accepted d, at a spacing no
+    coarser than (16 + 2 sqrt(2n+1) + width)/4000.
+    """
+    half = 8.0 + 0.5 * width
+    step = (16.0 + 2.0 * np.sqrt(2.0 * n + 1.0) + width) / 4000.0
+    grid = Grid1D(-half, half, 2 * math.ceil(half / step) + 1)
+    u = grid.xs
+    weights = integration_weights(grid) * eval_hermite_fn(n, u) / np.sqrt(np.pi)
+    trig = np.sin if n % 2 else np.cos
+    d = np.asarray(ys, dtype=float) - x0
+    tp = taylor_phase(GateParams(n, 0.0), -d)
+    shifted = u[None, :] + d[:, None]
+    carrier = tp.theta0[:, None] + tp.p_plus[:, None] * shifted
+    out = (np.exp(-shifted * shifted) * trig(carrier)) @ weights
+    sign = -1.0 if n % 2 else 1.0
+    norm = 2.0 + 2.0 * sign * np.exp(-tp.p_plus**2) * np.cos(2.0 * tp.theta0)
+    return 4.0 * out**2 / norm

@@ -150,7 +150,32 @@ def test_malformed_n_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["cat-fidelity", "--n", "one"])
     assert info.value.code == 2
-    assert "--n expects integers" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "catgate cat-fidelity: error: argument --n: expects integers like 1,5,15 or 1:25"
+    )
+
+
+# test_malformed_n_exits_2 covers a malformed integer list
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["prob-density", "--n", "2,-1"],
+         "catgate prob-density: error: argument --n: expects nonnegative integers"),
+        (["mixed-fidelity", "--n", "1", "--d", "1,a"],
+         "catgate mixed-fidelity: error: argument --d: expects numbers like 0,1.5,2"),
+        (["wigner", "--n", "1", "--p-range=0:5"],
+         "catgate wigner: error: argument --p-range: expects min:max:count"),
+        (["wigner", "--n", "1", "--x-range=0:5:1"],
+         "catgate wigner: error: argument --x-range: grid needs at least 2 points, got 1"),
+    ],
+)
+def test_bad_flag_value_names_the_flag_once(capsys, argv, line):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == line
+    assert captured.out == ""
 
 
 def test_invalid_library_configuration_exits_2(capsys):
@@ -431,6 +456,14 @@ def test_series_overflow_exits_3(capsys):
     captured = capsys.readouterr()
     assert "overflow" in captured.err and "n = 600" in captured.err
     assert not captured.err.startswith("invalid configuration")
+    assert captured.out == ""
+
+
+def test_density_overflow_exits_3(capsys):
+    # N_300 at an offset of 60 exceeds double precision
+    assert main(["prob-density", "--n", "300", "--ym", "60"]) == 3
+    captured = capsys.readouterr()
+    assert "overflows" in captured.err and "n = 300" in captured.err
     assert captured.out == ""
 
 
