@@ -14,7 +14,6 @@ from .errors import (
     ConvergenceError,
     GridCoverageError,
     PhaseDomainError,
-    SeriesOverflowError,
     SingularShearError,
     ZeroProbabilityError,
     ZeroStateError,
@@ -42,14 +41,10 @@ from .metrics import (
 )
 from .numerics import (
     Grid1D,
-    PowerSeries,
     default_grid,
     eval_hermite_fn,
     integrate,
     integration_weights,
-    series_exp,
-    series_inv_sqrt_one_plus,
-    series_mul,
 )
 from .phase_map import DiskImage, map_disk, map_point
 from .states import (
@@ -78,7 +73,6 @@ __all__ = [
     "ConvergenceError",
     "GridCoverageError",
     "PhaseDomainError",
-    "SeriesOverflowError",
     "SingularShearError",
     "ZeroProbabilityError",
     "ZeroStateError",
@@ -100,14 +94,10 @@ __all__ = [
     "scan_grid",
     "window_probability",
     "Grid1D",
-    "PowerSeries",
     "default_grid",
     "eval_hermite_fn",
     "integrate",
     "integration_weights",
-    "series_exp",
-    "series_inv_sqrt_one_plus",
-    "series_mul",
     "DiskImage",
     "map_disk",
     "map_point",

@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     wg.add_argument("--p0", type=float, default=0.0, help="input momentum")
     wg.add_argument("--ym", dest="y_m", type=float, default=0.0, help="homodyne outcome")
     wg.add_argument("--engine", choices=("mehler", "quadrature", "both"), default="mehler",
-                    help="series engine, integration oracle, or both side by side")
+                    help="closed-form engine, integration oracle, or both side by side")
     wg.add_argument("--with-cat", action="store_true",
                     help="append the ideal-cat reference Wigner column")
     wg.add_argument("--x-range", dest="x_axis", type=_axis_spec,

@@ -24,10 +24,6 @@ class PhaseDomainError(CatGateError):
     """Momentum-phase function evaluated outside the classically allowed band."""
 
 
-class SeriesOverflowError(CatGateError):
-    """A truncated power series left the range of double precision."""
-
-
 class SingularShearError(CatGateError):
     """Taylor expansion requested at or beyond the turning point of the resource."""
 

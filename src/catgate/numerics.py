@@ -1,25 +1,23 @@
-"""Shared numerical kernels: grids, Hermite evaluation, quadrature, power series.
+"""Shared numerical kernels: grids, Hermite evaluation, quadrature.
 
 Everything downstream (state construction, gate application, Wigner engines)
-is built on the uniform-grid and truncated-series primitives defined here.
+is built on the uniform-grid and Hermite-recurrence primitives defined here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 __all__ = [
     "Grid1D",
-    "PowerSeries",
     "default_grid",
     "eval_hermite_fn",
     "integration_weights",
     "integrate",
-    "series_mul",
-    "series_exp",
-    "series_inv_sqrt_one_plus",
 ]
 
 _PI_QUARTER = np.pi ** 0.25
@@ -79,11 +77,32 @@ def eval_hermite_fn(n: int, x):
     if n < 0:
         raise ValueError("Hermite degree must be nonnegative")
     arr = np.asarray(x, dtype=float)
-    h = np.exp(-0.5 * arr * arr) / _PI_QUARTER
-    h_prev = np.zeros_like(arr)
-    for k in range(n):
-        h, h_prev = arr * np.sqrt(2.0 / (k + 1)) * h - np.sqrt(k / (k + 1.0)) * h_prev, h
+    h = next(islice(_hermite_orders(arr), n, None))
     return h if arr.ndim else float(h)
+
+
+def _hermite_orders(x: np.ndarray):
+    """Yield h_0(x), h_1(x), h_2(x), ... for a float array x, one order per
+    step of the recurrence of eval_hermite_fn."""
+    h = np.exp(-0.5 * x * x) / _PI_QUARTER
+    h_prev = np.zeros_like(x)
+    k = 0
+    while True:
+        yield h
+        h, h_prev = x * np.sqrt(2.0 / (k + 1)) * h - np.sqrt(k / (k + 1.0)) * h_prev, h
+        k += 1
+
+
+def _poisson_weights(lam: np.ndarray, n: int) -> np.ndarray:
+    """Pois(j; lam) = e^{-lam} lam^j / j! for j = 0..n, one row per rate in the
+    1-D array lam, formed in log space so that no factor over- or underflows
+    on its own: a weight is 0 only when it is below the double range."""
+    log_lam = np.log(lam, out=np.full(lam.shape, -np.inf), where=lam > 0.0)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
+    expo = np.zeros((lam.size, n + 1))
+    expo[:, 1:] = log_lam[:, None] * np.arange(1.0, n + 1.0)
+    expo -= lam[:, None] + log_fact
+    return np.exp(expo)
 
 
 def integration_weights(grid: Grid1D) -> np.ndarray:
@@ -111,75 +130,3 @@ def integrate(values: np.ndarray, grid: Grid1D):
     if values.shape[-1] != grid.count:
         raise ValueError(f"got {values.shape[-1]} samples for a {grid.count}-point grid")
     return values @ integration_weights(grid)
-
-
-@dataclass(frozen=True)
-class PowerSeries:
-    """Truncated power series sum_k coeffs[k] rho^k.
-
-    coeffs is real, ascending in k. A second trailing axis batches
-    independent series over e.g. a coordinate grid, sharing one truncation
-    order; all operations broadcast over that axis.
-    """
-
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=float)
-        if arr.ndim not in (1, 2):
-            raise ValueError("series coefficients must be 1-D or 2-D (order, batch)")
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-
-def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Cauchy product truncated at min(a.order, b.order)."""
-    order = min(a.order, b.order)
-    ca = a.coeffs[: order + 1]
-    cb = b.coeffs[: order + 1]
-    batch = np.broadcast_shapes(ca.shape[1:], cb.shape[1:])
-    if batch and ca.ndim == 1:
-        ca = ca[:, None]
-    if batch and cb.ndim == 1:
-        cb = cb[:, None]
-    out = np.empty((order + 1, *batch))
-    for k in range(order + 1):
-        out[k] = np.add.reduce(ca[: k + 1] * cb[k::-1], axis=0)
-    return PowerSeries(out)
-
-
-def series_exp(a: PowerSeries) -> PowerSeries:
-    """exp of a series with zero constant term, truncated at a.order.
-
-    Uses the derivative recurrence c_k = (1/k) sum_{j<=k} j a_j c_{k-j},
-    which needs no factorials and is exact on the retained coefficients.
-    """
-    ca = a.coeffs
-    if np.any(ca[0] != 0.0):
-        raise ValueError("series_exp requires a vanishing constant term")
-    weighted = ca * np.arange(ca.shape[0]).reshape(-1, *([1] * (ca.ndim - 1)))
-    out = np.zeros_like(ca)
-    out[0] = 1.0
-    for k in range(1, ca.shape[0]):
-        out[k] = np.add.reduce(weighted[1 : k + 1] * out[k - 1 :: -1], axis=0) / k
-    return PowerSeries(out)
-
-
-def series_inv_sqrt_one_plus(sign: int, order: int) -> PowerSeries:
-    """Series of (1 + sign*rho)^{-1/2} up to `order`.
-
-    Coefficients follow c_k = -sign * c_{k-1} (2k-1)/(2k); for sign = -1 they
-    are the positive central-binomial weights C(2k,k)/4^k.
-    """
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    c = np.empty(order + 1)
-    c[0] = 1.0
-    for k in range(1, order + 1):
-        c[k] = -sign * c[k - 1] * (2 * k - 1) / (2.0 * k)
-    return PowerSeries(c)

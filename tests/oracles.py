@@ -1,8 +1,10 @@
-"""Grid-quadrature oracles shared by the test modules."""
+"""Independent oracles shared by the test modules: grid quadrature and exact arithmetic."""
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -18,6 +20,22 @@ def outcome_density_quadrature(n: int, x0: float, y_m: float) -> float:
     x = grid.xs
     dens = np.exp(-((x - x0) ** 2)) / np.sqrt(np.pi) * eval_hermite_fn(n, x - y_m) ** 2
     return float(integrate(dens, grid))
+
+
+def outcome_norm_exact(n: int, delta: float) -> Decimal:
+    """M_n = e^{-lam} sum_k C(2k,k)/4^k lam^(n-k)/(n-k)! at lam = delta^2/2, to 40
+    significant digits: the sum is exact rational arithmetic on the double
+    delta and e^{-lam} is taken in decimal, so the value is independent of the
+    log-space Poisson weights of gate.outcome_norm and does not underflow."""
+    lam = Fraction(delta) ** 2 / 2
+    total = sum(
+        Fraction(math.comb(2 * k, k), 4**k) * lam ** (n - k) / math.factorial(n - k)
+        for k in range(n + 1)
+    )
+    with localcontext() as ctx:
+        ctx.prec = 40
+        scale = (-Decimal(lam.numerator) / Decimal(lam.denominator)).exp()
+        return Decimal(total.numerator) / Decimal(total.denominator) * scale
 
 
 def overlap_sq_quadrature(n: int, x0: float, width: float, ys: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
 import re
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,14 @@ from catgate.metrics import (
 from catgate.numerics import Grid1D
 from catgate.phase_map import map_disk
 from catgate.states import CoherentParams
-from catgate.wigner import wigner_cat_reference, wigner_mehler, wigner_output_quadrature
+from catgate.wigner import (
+    WignerGrid,
+    default_axes,
+    wigner_cat_reference,
+    wigner_mehler,
+    wigner_output_quadrature,
+)
+from oracles import outcome_norm_exact
 
 
 def test_cat_fidelity_csv_frozen_output(capsys):
@@ -451,22 +460,54 @@ def test_json_streams_one_block_per_write(monkeypatch):
     assert len(blocks) > 1 and max(row_counts) <= 7
 
 
-def test_series_overflow_exits_3(capsys):
-    assert main(["wigner", "--n", "600"]) == 3
+def test_wigner_large_n_default_axes_keep_mass(capsys):
+    assert main(["wigner", "--n", "600"]) == 0
+    w = np.loadtxt(capsys.readouterr().out.splitlines()[1:], delimiter=",")[:, 2]
+    params, inp = GateParams(600, 0.0), CoherentParams(0.0, 0.0)
+    x_axis, p_axis = default_axes(params, inp)
+    grid = WignerGrid(x_axis, p_axis, w.reshape(x_axis.count, p_axis.count))
+    assert abs(grid.total_mass() - 1.0) < 1e-6
+
+
+def test_wigner_outcome_without_density_exits_3(capsys):
+    argv = ["wigner", "--n", "300", "--ym", "60", "--x-range=58:62:3", "--p-range=-1:1:3"]
+    assert main(argv) == 3
     captured = capsys.readouterr()
-    assert "overflow" in captured.err and "n = 600" in captured.err
-    assert not captured.err.startswith("invalid configuration")
+    assert "y_m=60.0" in captured.err and "conditional state undefined" in captured.err
     assert captured.out == ""
 
 
-def test_density_overflow_exits_3(capsys):
-    # N_300 at an offset of 60 exceeds double precision
-    assert main(["prob-density", "--n", "300", "--ym", "60"]) == 3
-    captured = capsys.readouterr()
-    assert "overflows" in captured.err and "n = 300" in captured.err
-    assert captured.out == ""
+@pytest.mark.parametrize("y_m", [40, 60])
+def test_density_far_outcome_is_correctly_rounded(y_m, capsys):
+    # P = M_n / sqrt(2 pi) is 5.1e-92 at an offset of 40; at 60 it is 10^-419.99,
+    # below the smallest subnormal, so 0 is the correctly rounded value
+    assert main(["prob-density", "--n", "300", "--ym", str(y_m)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n,y_m,x0,P" and len(lines) == 2
+    printed = float(lines[1].split(",")[3])
+    exact = outcome_norm_exact(300, float(y_m)) / Decimal(2 * math.pi).sqrt()
+    if y_m == 40:
+        np.testing.assert_allclose(printed, float(exact), rtol=1e-12)
+    else:
+        assert exact < Decimal(5e-324) / 2 and printed == 0.0
 
 
 def test_version_matches_pyproject():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert catgate.__version__ == re.search(r'^version = "([^"]+)"', text, re.M).group(1)
+
+
+def test_top_level_exports_match_the_modules():
+    # the package exports exactly what its modules declare public, so a kernel
+    # deleted from a module cannot linger at the top level
+    from catgate import errors, gate, metrics, numerics, phase_map, states, wigner
+
+    modules = (gate, metrics, numerics, phase_map, states, wigner)
+    declared = set().union(*(module.__all__ for module in modules))
+    exceptions = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, Exception)
+    }
+    assert len(catgate.__all__) == len(set(catgate.__all__))
+    assert set(catgate.__all__) == declared | exceptions | {"__version__"}
+    assert all(hasattr(catgate, name) for name in catgate.__all__)

@@ -7,16 +7,13 @@ import pytest
 from scipy.integrate import simpson
 from scipy.special import binom, eval_hermite
 
+from catgate.gate import _central_binomials
 from catgate.numerics import (
     Grid1D,
-    PowerSeries,
     default_grid,
     eval_hermite_fn,
     integrate,
     integration_weights,
-    series_exp,
-    series_inv_sqrt_one_plus,
-    series_mul,
 )
 
 
@@ -101,59 +98,8 @@ def test_hermite_fn_high_order_no_overflow():
     assert np.max(np.abs(values)) < 1.0
 
 
-def test_series_mul_matches_convolution():
-    rng = np.random.default_rng(3)
-    a, b = rng.standard_normal(7), rng.standard_normal(7)
-    got = series_mul(PowerSeries(a), PowerSeries(b)).coeffs
-    np.testing.assert_allclose(got, np.convolve(a, b)[:7], rtol=1e-13)
-
-
-def test_series_mul_truncates_to_shorter():
-    out = series_mul(PowerSeries([1.0, 2.0]), PowerSeries([1.0, 1.0, 1.0]))
-    np.testing.assert_allclose(out.coeffs, [1.0, 3.0])
-
-
-def test_series_mul_broadcasts_batch():
-    a = PowerSeries(np.array([[1.0, 1.0], [2.0, 0.5]]))
-    b = PowerSeries([1.0, 3.0])
-    out = series_mul(a, b).coeffs
-    np.testing.assert_allclose(out, [[1.0, 1.0], [5.0, 3.5]])
-
-
-def test_series_exp_pure_power():
-    u = 0.37
-    out = series_exp(PowerSeries([0.0, u, 0.0, 0.0, 0.0, 0.0])).coeffs
-    expected = [u**k / math.factorial(k) for k in range(6)]
-    np.testing.assert_allclose(out, expected, rtol=1e-14)
-
-
-def test_series_exp_numeric_consistency():
-    coeffs = np.array([0.0, 0.7, -0.3, 0.11, 0.05])
-    c = series_exp(PowerSeries(coeffs)).coeffs
-    t = 0.01
-    series_val = sum(ck * t**k for k, ck in enumerate(c))
-    exact = math.exp(sum(ak * t**k for k, ak in enumerate(coeffs)))
-    assert abs(series_val - exact) < 1e-10
-
-
-def test_series_exp_rejects_constant_term():
-    with pytest.raises(ValueError):
-        series_exp(PowerSeries([1.0, 2.0]))
-
-
-@pytest.mark.parametrize("sign", [-1, 1])
-def test_inv_sqrt_series_binomials(sign):
-    got = series_inv_sqrt_one_plus(sign, 8).coeffs
-    expected = [binom(-0.5, k) * sign**k for k in range(9)]
-    np.testing.assert_allclose(got, expected, rtol=1e-13)
-
-
 def test_inv_sqrt_series_central_binomials():
-    got = series_inv_sqrt_one_plus(-1, 6).coeffs
+    # the coefficients of (1 - rho)^{-1/2} that weight the outcome norm M_n
+    got = _central_binomials(6)
     expected = [binom(2 * k, k) / 4.0**k for k in range(7)]
     np.testing.assert_allclose(got, expected, rtol=1e-13)
-
-
-def test_power_series_rejects_3d():
-    with pytest.raises(ValueError):
-        PowerSeries(np.zeros((2, 2, 2)))

@@ -18,6 +18,7 @@ from catgate.wigner import (
     wigner_output_quadrature,
     wigner_quadrature,
 )
+from oracles import outcome_norm_exact
 
 
 def _sign_changes(slice_values, floor=1e-12):
@@ -82,17 +83,63 @@ def test_mehler_centered_slice_matches_laguerre(n):
 
 
 def test_mehler_context_consistent_with_density():
-    # N_n = sum_k C(2k,k)/4^k (delta^2/2)^(n-k)/(n-k)!, the normalization of the
-    # Wigner series, against SciPy and against the outcome density it also scales
-    for n, x0, y_m in ((3, 0.0, 1.0), (8, 2.0, 0.5), (40, -1.0, 6.0), (0, 1.0, -2.0)):
+    # M_n = e^{-delta^2/2} sum_k C(2k,k)/4^k (delta^2/2)^(n-k)/(n-k)!, the
+    # normalization of the Wigner map, against SciPy where the terms stay in
+    # range, against exact arithmetic everywhere, and against the outcome
+    # density it also scales
+    cases = ((3, 0.0, 1.0), (8, 2.0, 0.5), (40, -1.0, 6.0), (0, 1.0, -2.0),
+             (300, 0.0, 40.0), (1000, 0.0, 10.0))
+    for n, x0, y_m in cases:
         delta = y_m - x0
-        k = np.arange(n + 1)
-        oracle = np.sum(binom(2 * k, k) / 4.0**k * (0.5 * delta**2) ** (n - k) / factorial(n - k))
-        np.testing.assert_allclose(outcome_norm(n, delta), oracle, rtol=1e-13)
-        from_density = (
-            outcome_density(n, x0, y_m) * np.sqrt(2.0 * np.pi) * np.exp(0.5 * delta**2)
-        )
+        if n <= 40:
+            k = np.arange(n + 1)
+            scipy_sum = np.sum(
+                binom(2 * k, k) / 4.0**k * (0.5 * delta**2) ** (n - k) / factorial(n - k)
+            )
+            np.testing.assert_allclose(
+                outcome_norm(n, delta), np.exp(-0.5 * delta**2) * scipy_sum, rtol=1e-13
+            )
+        exact = float(outcome_norm_exact(n, delta))
+        np.testing.assert_allclose(outcome_norm(n, delta), exact, rtol=1e-13)
+        from_density = outcome_density(n, x0, y_m) * np.sqrt(2.0 * np.pi)
         np.testing.assert_allclose(outcome_norm(n, delta), from_density, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n, count", [(300, 283), (600, 399), (1000, 515), (2000, 727)])
+def test_default_axes_keep_mass_at_large_n(n, count):
+    params = GateParams(n, 0.0)
+    inp = CoherentParams(0.0, 0.0)
+    xa, pa = default_axes(params, inp)
+    assert xa.count == pa.count == count
+    np.testing.assert_allclose(
+        wigner_mehler(params, inp, xa, pa).total_mass(), 1.0, rtol=0, atol=1e-7
+    )
+
+
+def test_engines_agree_on_wide_momentum_axis():
+    # a p axis reaching 40 at n = 500 used to overflow the power-series engine
+    params = GateParams(500, 0.0)
+    inp = CoherentParams(0.0, 0.0)
+    xa = Grid1D(-3.0, 3.0, 61)
+    pa = Grid1D(-40.0, 40.0, 11)
+    wm = wigner_mehler(params, inp, xa, pa)
+    wq = wigner_output_quadrature(params, inp, xa, pa)
+    np.testing.assert_allclose(wm.values, wq.values, rtol=0, atol=1e-12)
+
+
+def test_mehler_rejects_axis_beyond_hermite_range():
+    # at n = 600, y_m = 28 the state sits near x0 = 0, where x - y_m is beyond
+    # the range in which e^{-(x - y_m)^2} starts the Hermite rows
+    params = GateParams(600, 28.0)
+    inp = CoherentParams(0.0, 0.0)
+    pa = Grid1D(-params.radius - 4.0, params.radius + 4.0, 41)
+    with pytest.raises(GridCoverageError, match="26.6"):
+        wigner_mehler(params, inp, Grid1D(-6.0, 6.0, 41), pa)
+    # within that range the map is computed, and is what quadrature gives
+    xa = Grid1D(1.5, 4.5, 31)
+    wm = wigner_mehler(params, inp, xa, pa)
+    wq = wigner_output_quadrature(params, inp, xa, pa)
+    np.testing.assert_allclose(wm.values, wq.values, rtol=0, atol=1e-12)
 
 
 def test_engines_agree_off_center():
