@@ -6,13 +6,23 @@ Rows are formatted and written in blocks, so the whole document is never
 held in memory. Identical invocations produce byte-identical files; timing
 metadata is opt-in for that reason. Exit status is 0 on success, 2 for an
 invalid configuration, 3 when the numerics refuse the requested point.
+
+A table number's text is that of C's %.17g byte for byte, made for a whole
+block of values at once by NumPy: each double's 17 digits are the integer
+nearest |v| 10^(16-x), x its decimal exponent, computed exactly enough in
+double-double arithmetic to decide the rounding, then laid out by %g's
+rules. The few values whose rounding this cannot decide (within 1e-9 of a
+tie, or near a power of ten), and 0, -0, inf and nan, are formatted by
+b"%.17g" % v itself.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -190,6 +200,144 @@ _HANDLERS = {
 _BLOCK_ROWS = 1 << 14
 # Bytes of the widest %.17g of a double, e.g. -2.2250738585072014e-308.
 _NUMBER_WIDTH = 24
+# Columns of the per-value source row that a cell is gathered from: the 17
+# digits, then these characters, the exponent's sign and 3 digits, and a NUL.
+_MINUS, _POINT, _ZERO, _E, _NUL = 17, 18, 19, 20, 25
+# Cell layouts per sign and count of significant digits: %f for a decimal
+# exponent X = -4..16, then %e with a 2-digit and with a 3-digit exponent.
+_FORMS = 23
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 4 ASCII digits and the trailing zeros of every g < 10^4, and the
+    sign and 3 digits of every decimal exponent X >= -324 (row X + 324).
+    Each 4-byte text is one uint32, so that a lookup moves one item."""
+    digits = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    for i in range(4):
+        digits[..., i] = np.arange(48, 58).reshape((10,) + (1,) * (3 - i))
+    digits = digits.reshape(10000, 4)
+    zero = (digits == 48).view(np.uint8)
+    trailing = zero[:, 3] * (1 + zero[:, 2] * (1 + zero[:, 1] * (1 + zero[:, 0])))
+    x = np.arange(-324, 309)
+    exponent = digits[abs(x)]
+    exponent[:, 0] = np.where(x < 0, ord("-"), ord("+"))
+    return digits.view(np.uint32).ravel(), trailing, exponent.view(np.uint32).ravel()
+
+
+@functools.cache
+def _layout(code: int) -> list[int]:
+    """The source column of each byte of one cell layout, code =
+    (negative * 17 + significant - 1) * _FORMS + form."""
+    negative, rest = divmod(code, 17 * _FORMS)
+    significant, form = rest // _FORMS + 1, rest % _FORMS
+    x = form - 4
+    if form < 21 and x < 0:
+        text = [_ZERO, _POINT] + [_ZERO] * (-x - 1) + list(range(significant))
+    else:
+        before = x + 1 if form < 21 else 1  # digits ahead of the point
+        text = list(range(before))
+        if significant > before:
+            text += [_POINT, *range(before, significant)]
+        if form >= 21:
+            # "e", the exponent's sign, then its last 2 or all 3 digits
+            text += [_E, _E + 1] + ([_E + 2] if form == 22 else []) + [_E + 3, _E + 4]
+    text = [_MINUS] * negative + text
+    return text + [_NUL] * (_NUMBER_WIDTH - len(text))
+
+
+@functools.cache
+def _power_of_ten(s: int) -> tuple[float, float, int]:
+    """10^s as (hi + lo) 2^b with hi in [0.5, 2), to a relative 2^-103."""
+    num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+    b = num.bit_length() - den.bit_length()
+    # 10^s 2^(106-b), an integer of 106 or 107 bits, split at bit 54
+    scaled = (num << 106 - b) // den if b <= 106 else num >> b - 106
+    return math.ldexp(scaled >> 54, -52), math.ldexp(scaled & (1 << 54) - 1, -106), b
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of doubles into two halves of at most 26 bits each."""
+    c = 134217729.0 * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _decimal_digits(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For positive finite doubles a with decimal exponent x: the 17-digit
+    integer nearest D = a 10^(16-x), x, and where that rounding is decided.
+
+    D is the 53-bit mantissa times 10^(16-x), formed in double-double
+    arithmetic: the mantissa times the head of 10^(16-x) is exact (Dekker's
+    two-product), and the tail of 10^(16-x) leaves D off by under 1e-13.
+    That decides the rounding unless D is within 1e-9 of a tie (an exact
+    tie rounds half-even in the C conversion), or within 1e-6 relative of
+    10^16 or 10^17, where x from log10 may be one off or the rounding may
+    carry into an 18th digit.
+    """
+    fraction, e = np.frexp(magnitude)
+    mantissa = np.ldexp(fraction, 53)
+    x = np.floor(np.log10(magnitude)).astype(np.int64)
+    row = x + 324
+    present = np.flatnonzero(np.bincount(row))
+    powers = np.zeros((3, present[-1] + 1))
+    powers[:, present] = np.transpose([_power_of_ten(340 - p) for p in present.tolist()])
+    hi, lo, b = powers[:, row]
+    h1, h2 = _split(hi)
+    m1, m2 = _split(mantissa)
+    product = mantissa * hi
+    error = ((m1 * h1 - product) + m1 * h2 + m2 * h1) + m2 * h2 + mantissa * lo
+    # D = near + far: near is a whole number, being at least 2^53, and |far| < 200
+    scale = e - 53 + b.astype(np.int64)
+    near, far = np.ldexp(product, scale), np.ldexp(error, scale)
+    whole = np.floor(far)
+    rest = far - whole
+    integer = near.astype(np.int64) + whole.astype(np.int64) + (rest > 0.5)
+    decided = (np.abs(rest - 0.5) >= 1e-9) & (near >= 1e16 + 1e10) & (near <= 1e17 - 1e11)
+    return integer, x, decided
+
+
+def _g17_cells(values: np.ndarray) -> np.ndarray:
+    """b"%.17g" % v of every v, as fixed-width cells padded with NULs.
+
+    The digits come from _decimal_digits and are laid out by %g's rules:
+    %f for a decimal exponent -4 <= x < 17 and %e otherwise, trailing zeros
+    stripped, an exponent of at least 2 digits. Each cell is gathered from
+    a row of its value's digits and characters by the byte map of its
+    layout. Values whose digits are undecided, and 0, -0, inf and nan, go
+    through b"%.17g" % v itself, so the text is that of %.17g byte for byte.
+    """
+    digits, trailing, exponent = _digit_tables()
+    v = values.astype(float)
+    magnitude = np.abs(v)
+    special = ~np.isfinite(magnitude) | (magnitude == 0)
+    magnitude[special] = 1.0
+    integer, x, decided = _decimal_digits(magnitude)
+
+    groups = np.empty((v.size, 4), dtype=np.int64)
+    for i in (3, 2, 1, 0):
+        integer, groups[:, i] = np.divmod(integer, 10000)
+    source = np.empty((v.size, _NUL + 1), dtype=np.uint8)
+    source[:, 0] = integer + 48
+    source[:, 1:17] = digits[groups].view(np.uint8).reshape(v.size, 16)
+    source[:, _MINUS : _E + 1] = np.frombuffer(b"-.0e", dtype=np.uint8)
+    source[:, _E + 1 : _NUL] = exponent[x + 324].view(np.uint8).reshape(v.size, 4)
+    source[:, _NUL] = 0
+    # trailing zeros of the 16 digits after the first, group by group
+    zeros = trailing[groups[:, 3]]
+    for i in (2, 1, 0):
+        zeros += (zeros == 4 * (3 - i)) * trailing[groups[:, i]]
+    form = np.where((x >= -4) & (x < 17), x + 4, np.where(abs(x) < 100, 21, 22))
+    code = ((v < 0) * 17 + 16 - zeros) * _FORMS + form
+    present = np.flatnonzero(np.bincount(code))
+    layouts = np.zeros((present[-1] + 1, _NUMBER_WIDTH), dtype=np.intp)
+    layouts[present] = [_layout(c) for c in present.tolist()]
+    index = layouts[code]
+    index += np.arange(0, source.size, source.shape[1])[:, None]
+    cells = np.take(source.ravel(), index).view(f"S{_NUMBER_WIDTH}").ravel()
+    fallback = np.flatnonzero(special | ~decided)
+    cells[fallback] = [b"%.17g" % f for f in v[fallback].tolist()]
+    return cells
 
 
 def _distinct_cells(column: np.ndarray, quote) -> tuple[np.ndarray, np.ndarray]:
@@ -197,8 +345,10 @@ def _distinct_cells(column: np.ndarray, quote) -> tuple[np.ndarray, np.ndarray]:
     and the index of every row into that array.
 
     Numbers are told apart by their bit pattern, so -0.0 and 0.0 keep their
-    own text, and each is formatted once with %.17g. Labels pass through
-    `quote` once each.
+    own text, and each is formatted once, _BLOCK_ROWS at a time, by
+    _g17_cells: %.17g's text byte for byte, from digits computed exactly
+    enough to decide their rounding, with b"%.17g" % v for the values where
+    they cannot (see _decimal_digits). Labels pass through `quote` once each.
     """
     if column.dtype.kind == "U":
         labels, index = np.unique(column, return_inverse=True)
@@ -207,8 +357,7 @@ def _distinct_cells(column: np.ndarray, quote) -> tuple[np.ndarray, np.ndarray]:
     values = keys.view(column.dtype)
     cells = np.empty(values.size, dtype=f"S{_NUMBER_WIDTH}")
     for start in range(0, values.size, _BLOCK_ROWS):
-        chunk = values[start : start + _BLOCK_ROWS].tolist()
-        cells[start : start + _BLOCK_ROWS] = [b"%.17g" % v for v in chunk]
+        cells[start : start + _BLOCK_ROWS] = _g17_cells(values[start : start + _BLOCK_ROWS])
     return cells, index
 
 
@@ -264,7 +413,10 @@ def _json_text(value) -> str:
 
 
 def _render_json(config: RunConfig, columns, data, metadata):
-    """JSON document; rows are formatted like CSV, labels quoted by json.dumps."""
+    """JSON document; rows are formatted like CSV, labels quoted by json.dumps.
+
+    With timings on, render_seconds is the time from the head's yield to the
+    trailer's: formatting the rows and writing them."""
     echo = {
         "command": config.command,
         "parameters": config.parameters,
@@ -272,10 +424,13 @@ def _render_json(config: RunConfig, columns, data, metadata):
         "out": config.output_path,
     }
     yield '{"config":' + _json_text(echo) + ',"columns":' + _json_text(columns) + ',"rows":['
+    started = time.perf_counter()
     # every row is led by a comma, which the first one drops
     blocks = _row_blocks(data, json.dumps, b",[", b"]")
     yield next(blocks, ",")[1:]
     yield from blocks
+    if config.timings:
+        metadata["timings"]["render_seconds"] = time.perf_counter() - started
     yield '],"metadata":' + _json_text(metadata) + "}\n"
 
 

@@ -92,19 +92,26 @@ class WignerGrid:
 
 
 def default_axes(params: GateParams, inp: CoherentParams) -> tuple[Grid1D, Grid1D]:
-    """Axes framing the output support: x within 6 of the centre between x0
-    and y_m, p within 4 beyond the displaced components p0 +/- sqrt(2n+1).
+    """Axes framing the output support: x from 6 below to 6 above both x0
+    and the centre x_c = (x0 + y_m)/2, p within 4 beyond the displaced
+    components p0 +/- sqrt(2n+1).
 
-    Each axis takes max(201, 2 ceil(36 sqrt(2n+1)/(2 pi)) + 1) points, 201 up
-    to n = 151, so the interference fringes, whose period shrinks as
-    pi/sqrt(2n+1), stay resolved: at y_m = x0 the Simpson mass is within
-    1e-7 of 1 from n = 10 up to at least n = 2000.
+    The state sits near x_c while sqrt(2n+1) is small against |y_m - x0|
+    and near x0 once it is large, so x covers both. The p axis takes
+    max(201, 2 ceil(36 sqrt(2n+1)/(2 pi)) + 1) points, 201 up to n = 151,
+    so the interference fringes, whose period shrinks as pi/sqrt(2n+1),
+    stay resolved, and x keeps at least that density over its span of
+    12 + |x_c - x0|. At y_m = x0 both axes take that count, and the Simpson
+    mass is within 1e-7 of 1 from n = 10 up to at least n = 2000; it is
+    within 1e-6 of 1 for n <= 300 and |y_m - x0| <= 20.
     """
     x_c = 0.5 * (inp.x0 + params.y_m)
     r = params.radius
     count = max(201, 2 * math.ceil(36.0 * r / (2.0 * math.pi)) + 1)
+    span = 12.0 + abs(x_c - inp.x0)
+    x_count = 2 * math.ceil((count - 1) * span / 24.0) + 1
     return (
-        Grid1D(x_c - 6.0, x_c + 6.0, count),
+        Grid1D(min(inp.x0, x_c) - 6.0, max(inp.x0, x_c) + 6.0, x_count),
         Grid1D(inp.p0 - r - 4.0, inp.p0 + r + 4.0, count),
     )
 

@@ -125,7 +125,8 @@ def test_timings_opt_in(capsys):
     assert "timings" not in json.loads(capsys.readouterr().out)["metadata"]
     assert main(argv + ["--timings"]) == 0
     timings = json.loads(capsys.readouterr().out)["metadata"]["timings"]
-    assert timings["compute_seconds"] >= 0.0
+    assert set(timings) == {"compute_seconds", "render_seconds"}
+    assert all(math.isfinite(t) and t >= 0.0 for t in timings.values())
 
 
 def test_scl_map_structure(capsys):
@@ -378,6 +379,32 @@ def _signed_zero_table():
     return argv, echo, ["n", "y_m", "x0", "p0", "F_scl"], rows, {}
 
 
+def _digit_layouts_table():
+    # centred outcomes keep F_cat defined for every x0 here; the x0 and y_m
+    # columns hold -0 and 0, a subnormal, the widest cell (17 digits, minus
+    # sign, 3-digit exponent), both sides of the %e switch at 1e-4 and 1 to 8
+    # integer digits
+    x0 = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.5e-5, 9.9999999999999991e-05, 0.0001,
+          0.00012345, -3.25, 12.5, 123.25, 1234.5, 12345.125, 123456.5, 1234567.25, 12345678.5]
+    argv = ["cat-fidelity", "--n", "1", "--ym-equals-x0", "--x0=" + ",".join(map(repr, x0))]
+    rows = [[1, x, x, 0.0, fidelity_cat_scan(1, x, x, 0.0)] for x in x0]
+    echo = {"n": [1], "x0": x0, "y_m": 0.0, "p0": 0.0, "ym_equals_x0": True}
+    return argv, echo, ["n", "y_m", "x0", "p0", "F_cat"], rows, {}
+
+
+def _large_outcome_table():
+    # outcomes 16 apart around 1e17: 17 integer digits below it and %e from
+    # it on; the densities reach a 3-digit exponent and underflow to 0
+    argv = ["prob-density", "--n", "0,30", "--x0", "1e17",
+            "--x-range=99999999999999936:100000000000000064:9"]
+    ys = Grid1D(99999999999999936.0, 100000000000000064.0, 9).xs
+    rows = [[n, float(y), 1e17, outcome_density(n, 1e17, float(y))] for n in (0, 30) for y in ys]
+    assert {r[3] for r in rows} >= {0.0} and min(r[3] for r in rows if r[3]) < 1e-99
+    echo = {"n": [0, 30], "x0": 1e17, "y_m": None,
+            "y_axis": _axis(99999999999999936.0, 100000000000000064.0, 9)}
+    return argv, echo, ["n", "y_m", "x0", "P"], rows, {}
+
+
 def _assert_matches_reference(table, capsys):
     argv, echo, columns, rows, metadata = table()
     assert main(argv) == 0
@@ -395,6 +422,8 @@ _TABLES = [
     _mixed_fidelity_table,
     _signed_zero_table,
     _cat_fidelity_table,
+    _digit_layouts_table,
+    _large_outcome_table,
 ]
 
 
@@ -511,3 +540,40 @@ def test_top_level_exports_match_the_modules():
     assert len(catgate.__all__) == len(set(catgate.__all__))
     assert set(catgate.__all__) == declared | exceptions | {"__version__"}
     assert all(hasattr(catgate, name) for name in catgate.__all__)
+
+
+def test_wigner_default_axes_refuse_unreachable_state(capsys):
+    # at n = 1000, y_m = 30 the state sits near x0 = 0, 30 away from y_m,
+    # beyond the distance at which the Hermite rows start
+    assert main(["wigner", "--n", "1000", "--ym", "30"]) == 3
+    captured = capsys.readouterr()
+    assert "Hermite rows underflow" in captured.err
+    assert captured.out == ""
+
+
+def _g17_edge_values() -> np.ndarray:
+    values = [0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+              1.7976931348623157e308, 0.5, 0.1, 1000000000000000.75, 99999999999999999.0]
+    for k in range(-324, 309):
+        power = float(f"1e{k}")
+        values += [power, np.nextafter(power, 0.0), np.nextafter(power, np.inf)]
+    values += [float(i) for i in range(1000)] + [i / 8 for i in range(1000)]
+    values += [i / 100 for i in range(1000)] + [2.0**k for k in range(-1074, 1024)]
+    values += [float(2**k + 1) for k in range(80)] + [float(10**k + 1) for k in range(25)]
+    # fixed layouts with 1 to 17 integer digits
+    values += [float("12345678901234567"[:k] + ".25") for k in range(1, 18)]
+    values += [float(i) * 10.0**k for i in range(1, 200) for k in range(10, 19)]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def test_g17_cells_match_percent_g():
+    # random finite bit patterns and the edge list against the C conversion:
+    # ties, carries into an 18th digit, decade boundaries, subnormals, -0 and
+    # the %f/%e switches
+    bits = np.random.default_rng(8).integers(0, 2**64, size=200_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = np.concatenate([values[np.isfinite(values)], _g17_edge_values()])
+    cells = catgate.cli._g17_cells(values).tolist()
+    expected = [b"%.17g" % v for v in values.tolist()]
+    assert [(v, c) for v, c, e in zip(values.tolist(), cells, expected) if c != e] == []

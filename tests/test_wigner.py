@@ -35,11 +35,34 @@ def test_wigner_grid_validation():
 
 
 def test_default_axes_geometry():
+    # x spans 6 beyond both x0 = 3 and x_c = 2, 13 wide, at no coarser a
+    # spacing than 12/200
     params = GateParams(4, 1.0)
     xa, pa = default_axes(params, CoherentParams(3.0, 0.5))
-    np.testing.assert_allclose((xa.x_min, xa.x_max), (-4.0, 8.0))
+    np.testing.assert_allclose((xa.x_min, xa.x_max), (-4.0, 9.0))
     np.testing.assert_allclose((pa.x_min, pa.x_max), (0.5 - 7.0, 0.5 + 7.0))
-    assert xa.count == pa.count == 201
+    assert (xa.count, pa.count) == (219, 201)
+
+
+@pytest.mark.parametrize("n", [10, 2000])
+@pytest.mark.parametrize("x0", [0.1, -2.5])
+def test_default_axes_centred_outcome_unchanged(n, x0):
+    # at y_m = x0 the x axis is x0 +/- 6 with the p axis's count, as before
+    # the axis followed x0 for off-centre outcomes
+    xa, pa = default_axes(GateParams(n, x0), CoherentParams(x0, 0.3))
+    assert xa == Grid1D(x0 - 6.0, x0 + 6.0, pa.count)
+
+
+@pytest.mark.parametrize("n, y_m", [(100, 10.0), (100, -10.0), (300, 10.0), (300, 20.0)])
+def test_default_axes_keep_mass_off_centre(n, y_m):
+    # here sqrt(2n+1) is comparable to |y_m - x0| and the state sits near x0,
+    # which an x axis centred between x0 and y_m missed by up to all its mass
+    params, inp = GateParams(n, y_m), CoherentParams(0.0, 0.0)
+    xa, pa = default_axes(params, inp)
+    assert xa.spacing <= 12.0 / (pa.count - 1)
+    np.testing.assert_allclose(
+        wigner_mehler(params, inp, xa, pa).total_mass(), 1.0, rtol=0, atol=1e-6
+    )
 
 
 def test_aligned_state_grid_contains_axis():
