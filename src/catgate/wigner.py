@@ -63,6 +63,8 @@ _EDGE_TOL = 1e-12
 _ORACLE_SPACING = 0.02
 # largest x~^2 at which e^{-x~^2} is still a normal double
 _HERMITE_START_LIMIT = 708.0
+# largest |x - y_m| of a default x axis, within sqrt(_HERMITE_START_LIMIT)
+_AXIS_REACH = 26.6
 
 
 @dataclass(frozen=True)
@@ -92,26 +94,43 @@ class WignerGrid:
 
 
 def default_axes(params: GateParams, inp: CoherentParams) -> tuple[Grid1D, Grid1D]:
-    """Axes framing the output support: x from 6 below to 6 above both x0
-    and the centre x_c = (x0 + y_m)/2, p within 4 beyond the displaced
-    components p0 +/- sqrt(2n+1).
+    """Axes framing the output support: x from 6 beyond the peak of the x
+    marginal on the side of x0 to 6 beyond the centre x_c = (x0 + y_m)/2 on
+    the side of y_m, p within 4 beyond the displaced components
+    p0 +/- sqrt(2n+1).
 
-    The state sits near x_c while sqrt(2n+1) is small against |y_m - x0|
-    and near x0 once it is large, so x covers both. The p axis takes
-    max(201, 2 ceil(36 sqrt(2n+1)/(2 pi)) + 1) points, 201 up to n = 151,
-    so the interference fringes, whose period shrinks as pi/sqrt(2n+1),
-    stay resolved, and x keeps at least that density over its span of
-    12 + |x_c - x0|. At y_m = x0 both axes take that count, and the Simpson
-    mass is within 1e-7 of 1 from n = 10 up to at least n = 2000; it is
-    within 1e-6 of 1 for n <= 300 and |y_m - x0| <= 20.
+    The x marginal is e^{-(x-x0)^2} h_n(x - y_m)^2 up to a constant. While
+    |y_m - x0| <= sqrt(2n+1), x0 lies where h_n oscillates and the peak sits
+    at x0, with the Gaussian tail of width 1/sqrt(2); beyond that, h_n
+    decays and the peak sits where the two factors balance (WKB),
+    (|y_m - x0|^2 + 2n + 1)/(2 |y_m - x0|) from y_m, between x0 and x_c,
+    with a tail at most 1/2 wide. The axis reaches 6 beyond that peak, but
+    not past 26.6 from y_m where the Hermite rows of wigner_mehler start
+    to underflow, unless that leaves under 5.5 widths of tail; then the
+    state may lie out of their range and wigner_mehler raises
+    GridCoverageError rather than print a map that misses it.
+
+    The p axis takes max(201, 2 ceil(36 sqrt(2n+1)/(2 pi)) + 1) points,
+    201 up to n = 151, so the interference fringes, whose period shrinks as
+    pi/sqrt(2n+1), stay resolved, and x keeps at least that density over
+    its span. At y_m = x0 both axes are centred with that count, and the
+    Simpson mass is within 1e-7 of 1 from n = 10 up to at least n = 2000.
     """
-    x_c = 0.5 * (inp.x0 + params.y_m)
+    d = params.y_m - inp.x0
     r = params.radius
     count = max(201, 2 * math.ceil(36.0 * r / (2.0 * math.pi)) + 1)
-    span = 12.0 + abs(x_c - inp.x0)
-    x_count = 2 * math.ceil((count - 1) * span / 24.0) + 1
+    # distance from y_m of the x marginal's peak, and the least margin beyond
+    # it that holds 5.5 standard deviations of its tail
+    if abs(d) <= r:
+        reach, tail = abs(d), 5.5 / math.sqrt(2.0)
+    else:
+        reach, tail = 0.5 * (abs(d) + r * r / abs(d)), 5.5 / 2.0
+    margin = min(6.0, max(tail, _AXIS_REACH - reach))
+    near = params.y_m - math.copysign(reach + margin, d)
+    ends = sorted((near, params.y_m - 0.5 * d + math.copysign(6.0, d)))
+    x_count = 2 * math.ceil((count - 1) * (ends[1] - ends[0]) / 24.0) + 1
     return (
-        Grid1D(min(inp.x0, x_c) - 6.0, max(inp.x0, x_c) + 6.0, x_count),
+        Grid1D(ends[0], ends[1], x_count),
         Grid1D(inp.p0 - r - 4.0, inp.p0 + r + 4.0, count),
     )
 

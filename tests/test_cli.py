@@ -542,6 +542,16 @@ def test_top_level_exports_match_the_modules():
     assert all(hasattr(catgate, name) for name in catgate.__all__)
 
 
+def test_wigner_default_axes_follow_far_outcome(capsys):
+    # at n = 4, y_m = 25 the state sits near x_c = 12.5; the x axis stays
+    # within 26.6 of y_m, where the Hermite rows are in range
+    assert main(["wigner", "--n", "4", "--ym", "25"]) == 0
+    w = np.loadtxt(capsys.readouterr().out.splitlines()[1:], delimiter=",")[:, 2]
+    x_axis, p_axis = default_axes(GateParams(4, 25.0), CoherentParams(0.0, 0.0))
+    grid = WignerGrid(x_axis, p_axis, w.reshape(x_axis.count, p_axis.count))
+    assert abs(grid.total_mass() - 1.0) < 1e-6
+
+
 def test_wigner_default_axes_refuse_unreachable_state(capsys):
     # at n = 1000, y_m = 30 the state sits near x0 = 0, 30 away from y_m,
     # beyond the distance at which the Hermite rows start

@@ -53,10 +53,17 @@ def test_default_axes_centred_outcome_unchanged(n, x0):
     assert xa == Grid1D(x0 - 6.0, x0 + 6.0, pa.count)
 
 
-@pytest.mark.parametrize("n, y_m", [(100, 10.0), (100, -10.0), (300, 10.0), (300, 20.0)])
+@pytest.mark.parametrize(
+    "n, y_m",
+    [(100, 10.0), (100, -10.0), (300, 10.0), (300, 20.0)]
+    + [(1, 22.0), (4, 25.0), (10, 30.0), (150, 40.0)],
+)
 def test_default_axes_keep_mass_off_centre(n, y_m):
-    # here sqrt(2n+1) is comparable to |y_m - x0| and the state sits near x0,
-    # which an x axis centred between x0 and y_m missed by up to all its mass
+    # for the first four sqrt(2n+1) is comparable to |y_m - x0| and the state
+    # sits near x0, which an x axis centred between x0 and y_m missed by up to
+    # all its mass; for the others it sits between that centre and x0, and
+    # an x axis reaching 6 beyond x0 would cross the Hermite range 26.6 from
+    # y_m, where wigner_mehler refuses the map
     params, inp = GateParams(n, y_m), CoherentParams(0.0, 0.0)
     xa, pa = default_axes(params, inp)
     assert xa.spacing <= 12.0 / (pa.count - 1)
