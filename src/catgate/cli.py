@@ -6,6 +6,9 @@ Rows are formatted and written in blocks, so the whole document is never
 held in memory. Identical invocations produce byte-identical files; timing
 metadata is opt-in for that reason. Exit status is 0 on success, 2 for an
 invalid configuration, 3 when the numerics refuse the requested point.
+Each command imports the modules it computes with when it runs, and json
+is imported only for JSON output, so that `import catgate.cli` loads no
+more of the package than catgate.errors and catgate.numerics.
 
 A table number's text is that of C's %.17g byte for byte, made for a whole
 block of values at once by NumPy: each double's 17 digits are the integer
@@ -19,9 +22,10 @@ b"%.17g" % v itself.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import functools
-import json
+import gc
 import math
 import sys
 import time
@@ -30,24 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CatGateError
-from .gate import GateParams, perfect_cat
-from .metrics import (
-    AcceptanceWindow,
-    fidelity_cat_scan,
-    fidelity_scl_scan,
-    mixed_fidelity,
-    outcome_density,
-    window_probability,
-)
 from .numerics import Grid1D
-from .phase_map import map_disk
-from .states import CoherentParams
-from .wigner import (
-    default_axes,
-    wigner_cat_reference,
-    wigner_mehler,
-    wigner_output_quadrature,
-)
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -108,6 +95,8 @@ def _product(outer, inner) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_fidelity_scan(p: dict):
+    from .metrics import fidelity_scl_scan
+
     x0, n = _product(p["x0"], p["n"])
     f = [fidelity_scl_scan(k, p["y_m"], x, p["p0"]) for x, k in zip(x0.tolist(), n.tolist())]
     data = [n, np.full(n.size, p["y_m"]), x0, np.full(n.size, p["p0"]), np.array(f)]
@@ -115,6 +104,8 @@ def _run_fidelity_scan(p: dict):
 
 
 def _run_cat_fidelity(p: dict):
+    from .metrics import fidelity_cat_scan
+
     x0, n = _product(p["x0"], p["n"])
     y_m = x0 if p["ym_equals_x0"] else np.full(n.size, p["y_m"])
     f = [
@@ -126,6 +117,10 @@ def _run_cat_fidelity(p: dict):
 
 
 def _run_wigner(p: dict):
+    from .gate import GateParams, perfect_cat
+    from .states import CoherentParams
+    from .wigner import default_axes, wigner_cat_reference, wigner_mehler, wigner_output_quadrature
+
     params = GateParams(p["n"], p["y_m"])
     inp = CoherentParams(p["x0"], p["p0"])
     x_default, p_default = default_axes(params, inp)
@@ -153,6 +148,8 @@ def _run_wigner(p: dict):
 
 
 def _run_prob_density(p: dict):
+    from .metrics import outcome_density
+
     if p["y_m"] is not None:
         ys = np.array([p["y_m"]], dtype=float)
     else:
@@ -163,6 +160,8 @@ def _run_prob_density(p: dict):
 
 
 def _run_mixed_fidelity(p: dict):
+    from .metrics import AcceptanceWindow, mixed_fidelity, window_probability
+
     n, d = _product(p["n"], p["d"])
     windows = [(k, AcceptanceWindow(p["x0"], w)) for k, w in zip(n.tolist(), d.tolist())]
     f_mix = [mixed_fidelity(k, p["x0"], window) for k, window in windows]
@@ -172,10 +171,14 @@ def _run_mixed_fidelity(p: dict):
 
 
 def _run_scl_map(p: dict):
+    from .gate import GateParams
+    from .phase_map import map_disk
+
     params = GateParams(p["n"], p["y_m"])
     disk = map_disk(params, (p["x0"], p["p0"]), p["radius"], p["samples"])
     parts = (disk.source, disk.upper, disk.lower)
-    branch = np.repeat(["source", "upper", "lower"], [q.size for q, _ in parts])
+    # the label column already factored: its labels and each row's index into them
+    branch = (["source", "upper", "lower"], np.repeat(np.arange(3), [q.size for q, _ in parts]))
     q = np.concatenate([q for q, _ in parts])
     mom = np.concatenate([mom for _, mom in parts])
     metadata = {
@@ -340,19 +343,21 @@ def _g17_cells(values: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _distinct_cells(column: np.ndarray, quote) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_cells(column, quote) -> tuple[np.ndarray, np.ndarray]:
     """Each distinct value of `column` as text in a fixed-width byte array,
     and the index of every row into that array.
 
-    Numbers are told apart by their bit pattern, so -0.0 and 0.0 keep their
-    own text, and each is formatted once, _BLOCK_ROWS at a time, by
-    _g17_cells: %.17g's text byte for byte, from digits computed exactly
-    enough to decide their rounding, with b"%.17g" % v for the values where
-    they cannot (see _decimal_digits). Labels pass through `quote` once each.
+    A number column is an array. Its numbers are told apart by their bit
+    pattern, so -0.0 and 0.0 keep their own text, and each is formatted
+    once, _BLOCK_ROWS at a time, by _g17_cells: %.17g's text byte for byte,
+    from digits computed exactly enough to decide their rounding, with
+    b"%.17g" % v for the values where they cannot (see _decimal_digits).
+    A label column comes already factored, as its labels and each row's
+    index into them; each label passes through `quote` once.
     """
-    if column.dtype.kind == "U":
-        labels, index = np.unique(column, return_inverse=True)
-        return np.array([quote(s).encode() for s in labels.tolist()], dtype=bytes), index
+    if isinstance(column, tuple):
+        labels, index = column
+        return np.array([quote(s).encode() for s in labels], dtype=bytes), index
     keys, index = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
     values = keys.view(column.dtype)
     cells = np.empty(values.size, dtype=f"S{_NUMBER_WIDTH}")
@@ -361,7 +366,7 @@ def _distinct_cells(column: np.ndarray, quote) -> tuple[np.ndarray, np.ndarray]:
     return cells, index
 
 
-def _row_blocks(data: list[np.ndarray], quote, lead: bytes, end: bytes):
+def _row_blocks(data: list, quote, lead: bytes, end: bytes):
     """The rows as text, _BLOCK_ROWS at a time: each row is `lead`, its
     cells joined by commas, then `end`.
 
@@ -378,21 +383,24 @@ def _row_blocks(data: list[np.ndarray], quote, lead: bytes, end: bytes):
         template += bytes(text.itemsize)
     template += end
     row = np.frombuffer(bytes(template), dtype=np.uint8)
-    for start in range(0, data[0].size, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, data[0].size)
+    rows = cells[0][1].size
+    for start in range(0, rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, rows)
         block = np.tile(row, (stop - start, 1))
         for (text, index), slot in zip(cells, slots):
             block[:, slot] = text[index[start:stop]].view(np.uint8).reshape(stop - start, -1)
         yield block[block != 0].tobytes().decode()
 
 
-def _render_csv(columns: list[str], data: list[np.ndarray]):
+def _render_csv(columns: list[str], data: list):
     yield ",".join(columns) + "\n"
     yield from _row_blocks(data, str, b"", b"\n")
 
 
 def _json_text(value) -> str:
     """Serialize with %.17g floats; json.dumps would shorten them."""
+    import json
+
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -417,6 +425,8 @@ def _render_json(config: RunConfig, columns, data, metadata):
 
     With timings on, render_seconds is the time from the head's yield to the
     trailer's: formatting the rows and writing them."""
+    import json
+
     echo = {
         "command": config.command,
         "parameters": config.parameters,
@@ -436,6 +446,9 @@ def _render_json(config: RunConfig, columns, data, metadata):
 
 def run(config: RunConfig) -> int:
     """Execute one resolved invocation; returns the process exit status."""
+    if config.timings and config.format != "json":
+        print("invalid configuration: --timings needs --format json", file=sys.stderr)
+        return 2
     try:
         started = time.perf_counter()
         columns, data, metadata = _HANDLERS[config.command](config.parameters)
@@ -468,7 +481,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--timings",
         action="store_true",
-        help="include wall-clock timings in JSON metadata (breaks byte-identical reruns)",
+        help="include wall-clock timings in the JSON metadata; needs --format json "
+        "(breaks byte-identical reruns)",
     )
 
 
@@ -555,7 +569,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _freeze_at_exit() -> None:
+    # once: atexit.unregister would leave an empty slot behind on each call
+    atexit.register(gc.freeze)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run the invocation `argv` (default sys.argv[1:]); returns its exit status.
+
+    It also has gc.freeze run at interpreter exit, registered once however
+    often main is called. Interpreter shutdown then skips the full
+    collections over the objects that NumPy and catgate made, which would
+    cost a short process about 20 ms; the one effect is that cyclic garbage
+    still alive at exit is not finalized. Nothing changes while the
+    interpreter runs, so a caller that stays in process sees no difference.
+    """
+    _freeze_at_exit()
     parameters = vars(build_parser().parse_args(argv))
     return run(
         RunConfig(

@@ -132,7 +132,9 @@ def semiclassical_output(params: GateParams, state: WaveFunctionGrid) -> WaveFun
     x = state.grid.xs
     z = np.clip((x - params.y_m) / params.radius, -1.0, 1.0)
     phi = phase_function(params.n, z)
-    branches = np.exp(1j * phi) + (-1.0) ** params.n * np.exp(-1j * phi)
+    # e^{-i phi} is the conjugate of e^{i phi} bit for bit, so one complex exp does
+    upper = np.exp(1j * phi)
+    branches = upper + (-1.0) ** params.n * np.conj(upper)
     unnorm = state.values * (1j ** params.n) * branches
     nrm = integrate(np.abs(unnorm) ** 2, state.grid).real
     if nrm < 1e-300:

@@ -129,6 +129,17 @@ def test_timings_opt_in(capsys):
     assert all(math.isfinite(t) and t >= 0.0 for t in timings.values())
 
 
+@pytest.mark.parametrize("fmt", [[], ["--format", "csv"]])
+def test_timings_with_csv_exits_2(fmt, tmp_path, capsys):
+    # CSV has no place for timings, so asking for them there is refused, not ignored
+    target = tmp_path / "density.csv"
+    argv = ["prob-density", "--n", "1", "--ym", "0", "--timings", "--out", str(target)]
+    assert main(argv + fmt) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "invalid configuration: --timings needs --format json\n"
+    assert captured.out == "" and not target.exists()
+
+
 def test_scl_map_structure(capsys):
     assert main(["scl-map", "--n", "4", "--ym", "3", "--x0", "3", "--p0", "3",
                  "--samples", "64", "--format", "json"]) == 0

@@ -12,7 +12,8 @@ from catgate.gate import (
     semiclassical_output,
     taylor_phase,
 )
-from catgate.numerics import Grid1D, default_grid
+from catgate.metrics import scan_grid
+from catgate.numerics import Grid1D, default_grid, integrate
 from catgate.states import CoherentParams, coherent_wavefunction
 
 
@@ -102,6 +103,24 @@ def test_semiclassical_output_constant_tail_ratio():
     ratio = np.abs(out.values[tail]) / np.abs(psi.values[tail])
     np.testing.assert_allclose(ratio, ratio[0], rtol=1e-10)
     np.testing.assert_allclose(out.norm(), 1.0, rtol=0, atol=1e-12)
+
+
+# the fidelity-scan points of the metric-scan and large-n benchmark workloads
+_SCAN_POINTS = [(n, x0) for n in range(1, 41) for x0 in (0.0, 1.0, 2.0)]
+_SCAN_POINTS += [(300, 0.0), (300, 5.0)]
+
+
+def test_semiclassical_output_matches_two_exp_branches_bit_for_bit():
+    # the branches take e^{-i phi} as the conjugate of e^{i phi}; that must
+    # equal a second complex exp to the last bit, so no F_scl digit moves
+    for n, x0 in _SCAN_POINTS:
+        params = GateParams(n, 0.0)
+        psi = coherent_wavefunction(CoherentParams(x0, 0.0), scan_grid(n, x0, 0.0))
+        phi = phase_function(n, np.clip(psi.grid.xs / params.radius, -1.0, 1.0))
+        branches = np.exp(1j * phi) + (-1.0) ** n * np.exp(-1j * phi)
+        unnorm = psi.values * (1j**n) * branches
+        expected = unnorm / np.sqrt(integrate(np.abs(unnorm) ** 2, psi.grid).real)
+        assert np.array_equal(semiclassical_output(params, psi).values, expected), (n, x0)
 
 
 @pytest.mark.parametrize("n, y_m, center", [(1, 0.0, 0.5), (5, 1.0, 0.0), (10, -1.0, 2.0)])
