@@ -31,7 +31,6 @@ _EXPORTS = {
             "ZeroStateError",
         ),
         "gate": (
-            "GateOutput",
             "GateParams",
             "TaylorPhase",
             "exact_output",
@@ -42,7 +41,6 @@ _EXPORTS = {
             "taylor_phase",
         ),
         "metrics": (
-            "AcceptanceWindow",
             "fidelity",
             "fidelity_cat_scan",
             "fidelity_scl_scan",
@@ -53,7 +51,6 @@ _EXPORTS = {
         ),
         "numerics": (
             "Grid1D",
-            "default_grid",
             "eval_hermite_fn",
             "integrate",
             "integration_weights",

@@ -160,12 +160,12 @@ def _run_prob_density(p: dict):
 
 
 def _run_mixed_fidelity(p: dict):
-    from .metrics import AcceptanceWindow, mixed_fidelity, window_probability
+    from .metrics import mixed_fidelity, window_probability
 
     n, d = _product(p["n"], p["d"])
-    windows = [(k, AcceptanceWindow(p["x0"], w)) for k, w in zip(n.tolist(), d.tolist())]
-    f_mix = [mixed_fidelity(k, p["x0"], window) for k, window in windows]
-    prob = [window_probability(k, p["x0"], window) for k, window in windows]
+    points = list(zip(n.tolist(), d.tolist()))
+    f_mix = [mixed_fidelity(k, p["x0"], w) for k, w in points]
+    prob = [window_probability(k, p["x0"], w) for k, w in points]
     data = [n, np.full(n.size, p["x0"]), d, np.array(f_mix), np.array(prob)]
     return ["n", "x0", "d", "F_mix", "P"], data, {}
 

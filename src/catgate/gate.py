@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .states import CatSuperposition, CoherentParams, WaveFunctionGrid
 __all__ = [
     "GateParams",
     "TaylorPhase",
-    "GateOutput",
     "phase_function",
     "outcome_norm",
     "exact_output",
@@ -54,11 +52,6 @@ class GateParams:
     def radius(self) -> float:
         """Resource circle radius sqrt(2n+1)."""
         return float(np.sqrt(2.0 * self.n + 1.0))
-
-
-class GateOutput(NamedTuple):
-    state: WaveFunctionGrid
-    density: float
 
 
 def phase_function(n: int, z):
@@ -97,17 +90,17 @@ def outcome_norm(n: int, delta):
     arr = np.atleast_1d(np.asarray(delta, dtype=float))
     if not np.all(np.isfinite(arr)):
         raise ValueError("outcome offset y_m - x0 must be finite")
-    pois = _poisson_weights((0.5 * arr * arr).ravel(), n)
+    pois = _poisson_weights(arr.ravel(), n)
     norm = np.add.reduce(pois[:, ::-1] * _central_binomials(n), axis=1)
     return norm.reshape(np.shape(delta)) if np.ndim(delta) else float(norm[0])
 
 
-def exact_output(params: GateParams, state: WaveFunctionGrid) -> GateOutput:
-    """Conditional output state and outcome density for a given input.
+def exact_output(params: GateParams, state: WaveFunctionGrid) -> WaveFunctionGrid:
+    """Normalized conditional output state for a given input.
 
-    Returns the normalized post-measurement state together with the homodyne
-    density P(y_m); raises ZeroProbabilityError when the outcome lies so far
-    in the tails that no conditional state can be formed.
+    Raises ZeroProbabilityError when the outcome lies so far in the tails
+    that the unnormalized state's norm, P(y_m) on the grid, is below 1e-300
+    and no conditional state can be formed.
     """
     x = state.grid.xs
     unnorm = state.values * (1j ** params.n) * eval_hermite_fn(params.n, x - params.y_m)
@@ -116,7 +109,7 @@ def exact_output(params: GateParams, state: WaveFunctionGrid) -> GateOutput:
         raise ZeroProbabilityError(
             f"outcome y_m={params.y_m} has density {density}; conditional state undefined"
         )
-    return GateOutput(WaveFunctionGrid(state.grid, unnorm / np.sqrt(density)), density)
+    return WaveFunctionGrid(state.grid, unnorm / np.sqrt(density))
 
 
 def semiclassical_output(params: GateParams, state: WaveFunctionGrid) -> WaveFunctionGrid:

@@ -47,7 +47,6 @@ from .states import (
 )
 
 __all__ = [
-    "AcceptanceWindow",
     "scan_grid",
     "fidelity",
     "fidelity_cat_scan",
@@ -61,31 +60,27 @@ _ADAPTIVE_TOL = 1e-9
 _MAX_NODES = 6401
 
 
-class AcceptanceWindow:
-    """Outcome acceptance interval [center - width/2, center + width/2]."""
-
-    __slots__ = ("center", "width")
-
-    def __init__(self, center: float, width: float):
-        if not (math.isfinite(center) and 0 < width < math.inf):
-            raise ValueError("window needs a finite center and a finite positive width")
-        self.center = float(center)
-        self.width = float(width)
-
-    def __repr__(self) -> str:
-        return f"AcceptanceWindow(center={self.center}, width={self.width})"
-
-
 def scan_grid(n: int, x0: float, y_m: float) -> Grid1D:
     """Wavefunction grid for a gate run with coherent input x0 and outcome y_m.
 
     Centred between x0 and y_m so the sampled offsets x - x0 depend only on
     (n, y_m - x0); fidelities computed on it are then exactly invariant under
-    common translations of (x0, y_m).
+    common translations of (x0, y_m). The grid takes
+    max(4001, 2 ceil(half (2 sqrt(2n+1) + 12)/(2 pi)) + 1) points, so that
+    Simpson resolves the fringes of |cat|^2, of spatial frequency
+    2 sqrt(2n+1) widened by the Gaussian envelope: 4001 up to n = 2611 at
+    y_m = x0, 4543 at n = 3000. Past an offset |y_m - x0| of sqrt(2n+1) + 80
+    the count stops growing: the outcome density is below 1e-300 from
+    sqrt(2n+1) + 37 on, so every sample of the conditional state underflows
+    and exact_output raises ZeroProbabilityError on any grid, which then
+    costs no more memory than at that offset.
     """
     c = 0.5 * (x0 + y_m)
-    half = 8.0 + np.sqrt(2.0 * n + 1.0) + 0.5 * abs(y_m - x0)
-    return Grid1D(c - half, c + half, 4001)
+    r = np.sqrt(2.0 * n + 1.0)
+    half = 8.0 + r + 0.5 * abs(y_m - x0)
+    resolved = 8.0 + r + 0.5 * min(abs(y_m - x0), r + 80.0)
+    count = max(4001, 2 * math.ceil(resolved * (2.0 * r + 12.0) / (2.0 * math.pi)) + 1)
+    return Grid1D(c - half, c + half, count)
 
 
 def fidelity(a: WaveFunctionGrid, b: WaveFunctionGrid) -> float:
@@ -104,7 +99,7 @@ def fidelity_cat_scan(n: int, y_m: float, x0: float, p0: float = 0.0) -> float:
     grid = scan_grid(n, x0, y_m)
     params = GateParams(n, y_m)
     inp = CoherentParams(x0, p0)
-    out = exact_output(params, coherent_wavefunction(inp, grid)).state
+    out = exact_output(params, coherent_wavefunction(inp, grid))
     cat = assemble_cat(perfect_cat(params, inp), grid)
     return fidelity(out, cat)
 
@@ -114,7 +109,7 @@ def fidelity_scl_scan(n: int, y_m: float, x0: float, p0: float = 0.0) -> float:
     grid = scan_grid(n, x0, y_m)
     params = GateParams(n, y_m)
     psi_in = coherent_wavefunction(CoherentParams(x0, p0), grid)
-    out = exact_output(params, psi_in).state
+    out = exact_output(params, psi_in)
     return fidelity(out, semiclassical_output(params, psi_in))
 
 
@@ -157,10 +152,17 @@ def _adaptive_nodes(lo: float, hi: float, evaluate) -> float:
         nodes = 2 * nodes - 1
 
 
-def window_probability(n: int, x0: float, window: AcceptanceWindow) -> float:
-    """Probability of the outcome falling inside the acceptance window."""
-    lo = window.center - 0.5 * window.width
-    hi = window.center + 0.5 * window.width
+def _window(x0: float, width: float) -> tuple[float, float]:
+    """Bounds of the acceptance window [x0 - width/2, x0 + width/2]."""
+    if not (math.isfinite(x0) and 0 < width < math.inf):
+        raise ValueError("window needs a finite center and a finite positive width")
+    return x0 - 0.5 * width, x0 + 0.5 * width
+
+
+def window_probability(n: int, x0: float, width: float) -> float:
+    """Probability of the outcome falling inside the acceptance window of
+    the given width centred at y_m = x0."""
+    lo, hi = _window(x0, width)
     return _adaptive_nodes(lo, hi, lambda ys: outcome_density(n, x0, ys))
 
 
@@ -224,8 +226,9 @@ def _overlap_sq(n: int, x0: float, ys: np.ndarray) -> np.ndarray:
     return 4.0 * part**2 / norm
 
 
-def mixed_fidelity(n: int, x0: float, window: AcceptanceWindow) -> float:
-    """Outcome-averaged cat fidelity over an acceptance window centred at x0.
+def mixed_fidelity(n: int, x0: float, width: float) -> float:
+    """Outcome-averaged cat fidelity over the acceptance window of the given
+    width centred at y_m = x0.
 
     F_mix = int_window P(y) F_cat(y) dy / int_window P(y) dy. For each
     accepted outcome y the reference is the ideal cat reconstructed from the
@@ -243,18 +246,15 @@ def mixed_fidelity(n: int, x0: float, window: AcceptanceWindow) -> float:
     grid, and a relative error that grows about linearly with n, 3e-14 at
     n = 200 and 1.3e-12 at n = 10^4 against u-grid quadrature.
     """
-    if abs(window.center - x0) > 1e-9:
-        raise ValueError("acceptance window must be centred at y_m = x0")
+    lo, hi = _window(x0, width)
     radius = GateParams(n, x0).radius
-    if 0.5 * window.width >= radius:
+    if 0.5 * width >= radius:
         raise SingularShearError(
-            f"window half-width {0.5 * window.width} reaches the turning point "
+            f"window half-width {0.5 * width} reaches the turning point "
             f"{radius}; no semiclassical cat exists for the edge outcomes"
         )
-    lo = window.center - 0.5 * window.width
-    hi = window.center + 0.5 * window.width
     numer = _adaptive_nodes(lo, hi, lambda ys: _overlap_sq(n, x0, ys))
-    denom = window_probability(n, x0, window)
+    denom = window_probability(n, x0, width)
     if denom < 1e-300:
         raise ZeroProbabilityError("window probability underflows; no outcomes accepted")
     return numer / denom

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "Grid1D",
-    "default_grid",
     "eval_hermite_fn",
     "integration_weights",
     "integrate",
@@ -52,17 +51,6 @@ class Grid1D:
         return self.x_min <= lo and hi <= self.x_max
 
 
-def default_grid(n: int, center: float) -> Grid1D:
-    """Default wavefunction grid for photon number n, centred at `center`.
-
-    Half-width 8 + sqrt(2n+1) keeps every Gaussian-enveloped integrand below
-    1e-14 at the edges; 4001 points put composite Simpson at machine accuracy
-    for the bandwidths that occur here.
-    """
-    half = 8.0 + np.sqrt(2.0 * n + 1.0)
-    return Grid1D(center - half, center + half, 4001)
-
-
 def eval_hermite_fn(n: int, x):
     """Normalized Hermite function h_n(x) = H_n(x) e^{-x^2/2} / (pi^{1/4} sqrt(2^n n!)).
 
@@ -93,10 +81,15 @@ def _hermite_orders(x: np.ndarray):
         k += 1
 
 
-def _poisson_weights(lam: np.ndarray, n: int) -> np.ndarray:
-    """Pois(j; lam) = e^{-lam} lam^j / j! for j = 0..n, one row per rate in the
-    1-D array lam, formed in log space so that no factor over- or underflows
-    on its own: a weight is 0 only when it is below the double range."""
+def _poisson_weights(t: np.ndarray, n: int) -> np.ndarray:
+    """Pois(j; lam) = e^{-lam} lam^j / j! at lam = t^2/2 for j = 0..n, one row
+    per value of the 1-D array t, formed in log space so that no factor over-
+    or underflows on its own: a weight is 0 only when it is below the double
+    range. A rate past the double range (|t| above about 1.3e154) is taken
+    as the largest double, where every weight is 0 too, rather than inf,
+    where inf - inf would make them nan."""
+    with np.errstate(over="ignore"):
+        lam = np.minimum(0.5 * t * t, np.finfo(float).max)
     log_lam = np.log(lam, out=np.full(lam.shape, -np.inf), where=lam > 0.0)
     log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
     expo = np.zeros((lam.size, n + 1))

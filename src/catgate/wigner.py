@@ -171,7 +171,7 @@ def wigner_mehler(
             f"of y_m = {params.y_m}"
         )
     hermite = np.array(list(islice(_hermite_orders(np.sqrt(2.0) * x_t), 0, 2 * n + 1, 2)))
-    poisson = _poisson_weights(0.5 * p_t * p_t, n)[:, ::-1] * np.sqrt(_central_binomials(n))
+    poisson = _poisson_weights(p_t, n)[:, ::-1] * np.sqrt(_central_binomials(n))
     values = hermite.T @ poisson.T
     values *= scale[:, None]
     return WignerGrid(x_axis, p_axis, values)
@@ -240,7 +240,7 @@ def wigner_output_quadrature(
     grid, then direct quadrature. Same signature contents as wigner_mehler so
     the two engines can be compared pointwise."""
     state_grid = aligned_state_grid(x_axis, inp.x0 - 9.0, inp.x0 + 9.0)
-    out = exact_output(params, coherent_wavefunction(inp, state_grid)).state
+    out = exact_output(params, coherent_wavefunction(inp, state_grid))
     return wigner_quadrature(out, x_axis, p_axis)
 
 

@@ -15,7 +15,6 @@ import pytest
 
 from catgate.gate import GateParams, exact_output
 from catgate.metrics import (
-    AcceptanceWindow,
     fidelity_cat_scan,
     fidelity_scl_scan,
     mixed_fidelity,
@@ -110,7 +109,7 @@ def test_criterion_4_wigner_engine_agreement(capsys):
         wide = wigner_mehler(params, inp, x_axis, p_wide)
         marginal = wide.values @ integration_weights(p_wide)
         state_grid = aligned_state_grid(x_axis, x0 - 9.0, x0 + 9.0)
-        out = exact_output(params, coherent_wavefunction(inp, state_grid)).state
+        out = exact_output(params, coherent_wavefunction(inp, state_grid))
         idx = np.rint((x_axis.xs - state_grid.x_min) / state_grid.spacing).astype(int)
         density = np.abs(out.values[idx]) ** 2
         marginal_worst = max(marginal_worst, float(np.max(np.abs(marginal - density))))
@@ -172,17 +171,17 @@ def test_criterion_5_outcome_density_structure(capsys):
 
 
 def test_criterion_6_windowed_fidelity(capsys):
-    narrow = AcceptanceWindow(0.0, 0.01)
+    narrow = 0.01
     limit_worst = prob_worst = 0.0
     for n in (1, 5, 10, 15):
         f_mix = mixed_fidelity(n, 0.0, narrow)
         f_cat = fidelity_cat_scan(n, 0.0, 0.0, 0.0)
         limit_worst = max(limit_worst, abs(f_mix - f_cat))
         p_win = window_probability(n, 0.0, narrow)
-        p_point = outcome_density(n, 0.0, 0.0) * narrow.width
+        p_point = outcome_density(n, 0.0, 0.0) * narrow
         prob_worst = max(prob_worst, abs(p_win / p_point - 1.0))
     widths = (0.1, 0.5, 1.0, 2.0)
-    sequence = [mixed_fidelity(5, 0.0, AcceptanceWindow(0.0, d)) for d in widths]
+    sequence = [mixed_fidelity(5, 0.0, d) for d in widths]
     decreasing = all(a > b for a, b in zip(sequence, sequence[1:]))
     ok = limit_worst <= 3e-3 and decreasing and prob_worst <= 0.01
     _emit(
@@ -204,7 +203,7 @@ def test_criterion_7_structural_invariants(capsys):
         grid = Grid1D(-9.0, 9.0, 1801)
         out = exact_output(params, coherent_wavefunction(CoherentParams(0.0, 0.0), grid))
         center = np.argmin(np.abs(grid.xs))
-        parity_worst = max(parity_worst, abs(out.state.values[center]))
+        parity_worst = max(parity_worst, abs(out.values[center]))
 
     rng = np.random.default_rng(3)
     q, p = rng.uniform(-4.0, 4.0, size=(100, 2)).T
@@ -222,7 +221,7 @@ def test_criterion_7_structural_invariants(capsys):
     out_b = exact_output(
         GateParams(4, 1.0 + shift), coherent_wavefunction(CoherentParams(0.5 + shift, 0.0), grid_b)
     )
-    covariance_worst = float(np.max(np.abs(out_a.state.values - out_b.state.values)))
+    covariance_worst = float(np.max(np.abs(out_a.values - out_b.values)))
 
     fock_worst = 0.0
     axes = Grid1D(-1.0, 1.0, 3)

@@ -14,7 +14,6 @@ import catgate.cli
 from catgate.cli import RunConfig, build_parser, main, run
 from catgate.gate import GateParams, perfect_cat
 from catgate.metrics import (
-    AcceptanceWindow,
     fidelity_cat_scan,
     fidelity_scl_scan,
     mixed_fidelity,
@@ -373,9 +372,7 @@ def _mixed_fidelity_table():
     rows = []
     for n in (1, 2):
         for d in (0.2, 0.5):
-            window = AcceptanceWindow(0.0, d)
-            rows.append([n, 0.0, d, mixed_fidelity(n, 0.0, window),
-                         window_probability(n, 0.0, window)])
+            rows.append([n, 0.0, d, mixed_fidelity(n, 0.0, d), window_probability(n, 0.0, d)])
     echo = {"n": [1, 2], "x0": 0.0, "d": [0.2, 0.5]}
     return argv, echo, ["n", "x0", "d", "F_mix", "P"], rows, {}
 
@@ -530,6 +527,12 @@ def test_density_far_outcome_is_correctly_rounded(y_m, capsys):
         np.testing.assert_allclose(printed, float(exact), rtol=1e-12)
     else:
         assert exact < Decimal(5e-324) / 2 and printed == 0.0
+
+
+def test_density_at_offset_past_the_double_range_is_zero(capsys):
+    assert main(["prob-density", "--n", "3", "--x0=-1e200", "--x-range=0:1:3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["0", "0", "0"]
 
 
 def test_version_matches_pyproject():

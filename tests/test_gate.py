@@ -13,7 +13,7 @@ from catgate.gate import (
     taylor_phase,
 )
 from catgate.metrics import scan_grid
-from catgate.numerics import Grid1D, default_grid, integrate
+from catgate.numerics import Grid1D, integrate
 from catgate.states import CoherentParams, coherent_wavefunction
 
 
@@ -64,27 +64,23 @@ def _output(n, y_m, x0, p0=0.0, count=4001):
 @pytest.mark.parametrize("n, y_m, x0", [(0, 0.0, 0.0), (3, 1.0, 0.5), (10, -2.0, 1.0)])
 def test_exact_output_normalized(n, y_m, x0):
     out = _output(n, y_m, x0)
-    np.testing.assert_allclose(out.state.norm(), 1.0, rtol=0, atol=1e-12)
-    assert out.density > 0.0
+    np.testing.assert_allclose(out.norm(), 1.0, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 3, 7])
 def test_exact_output_parity_zero_at_outcome(n):
     out = _output(n, 0.0, 0.0)
-    grid = out.state.grid
+    grid = out.grid
     center = (grid.count - 1) // 2
     assert grid.xs[center] == 0.0
-    assert abs(out.state.values[center]) < 1e-12
+    assert abs(out.values[center]) < 1e-12
 
 
 def test_exact_output_translation_covariance():
     shift = 2.0
     base = _output(4, 0.5, 0.25)
     moved = _output(4, 0.5 + shift, 0.25 + shift)
-    np.testing.assert_allclose(
-        moved.state.values, base.state.values, rtol=0, atol=1e-12
-    )
-    np.testing.assert_allclose(moved.density, base.density, rtol=1e-12)
+    np.testing.assert_allclose(moved.values, base.values, rtol=0, atol=1e-12)
 
 
 def test_exact_output_rejects_vanishing_overlap():
@@ -96,7 +92,7 @@ def test_exact_output_rejects_vanishing_overlap():
 
 def test_semiclassical_output_constant_tail_ratio():
     params = GateParams(1, 0.0)
-    grid = default_grid(1, 0.0)
+    grid = scan_grid(1, 0.0, 0.0)
     psi = coherent_wavefunction(CoherentParams(0.0, 0.0), grid)
     out = semiclassical_output(params, psi)
     tail = np.abs(grid.xs) > params.radius + 0.5

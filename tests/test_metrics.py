@@ -3,11 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from catgate.errors import ConvergenceError, SingularShearError
+from catgate.errors import ConvergenceError, SingularShearError, ZeroProbabilityError
+from catgate.gate import GateParams, exact_output, perfect_cat, semiclassical_output
 from catgate.metrics import (
     _adaptive_nodes,
     _overlap_sq,
-    AcceptanceWindow,
     fidelity,
     fidelity_cat_scan,
     fidelity_scl_scan,
@@ -17,15 +17,16 @@ from catgate.metrics import (
     window_probability,
 )
 from catgate.numerics import Grid1D, integration_weights
-from catgate.states import CoherentParams, coherent_wavefunction
+from catgate.states import CoherentParams, assemble_cat, coherent_wavefunction
 from oracles import outcome_density_quadrature, overlap_sq_quadrature
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        AcceptanceWindow(0.0, 0.0)
-    w = AcceptanceWindow(1.0, 0.5)
-    assert (w.center, w.width) == (1.0, 0.5)
+    for x0, width in [(0.0, 0.0), (0.0, -1.0), (0.0, np.nan), (0.0, np.inf), (np.nan, 0.5),
+                      (np.inf, 0.5)]:
+        for average in (window_probability, mixed_fidelity):
+            with pytest.raises(ValueError, match="finite center and a finite positive width"):
+                average(1, x0, width)
 
 
 def test_scan_grid_tracks_midpoint():
@@ -34,6 +35,43 @@ def test_scan_grid_tracks_midpoint():
     assert g.count == 4001
     offsets = scan_grid(2, 0.0, 2.0).xs - 1.0
     np.testing.assert_allclose(g.xs - 2.0, offsets, rtol=0, atol=1e-12)
+    # at y_m = x0 the grid spans x0 -/+ (8 + sqrt(2n+1))
+    g = scan_grid(4, 1.0, 1.0)
+    np.testing.assert_allclose((g.x_min, g.x_max), (1.0 - 11.0, 1.0 + 11.0))
+    # and keeps 4001 points up to n = 2000, so every frozen value stays
+    for n in (0, 4, 40, 300, 1000, 2000):
+        assert scan_grid(n, 0.0, 0.0).count == scan_grid(n, 0.0, 10.0).count == 4001
+
+
+def _fidelities_on(grid, n, y_m, x0):
+    params, inp = GateParams(n, y_m), CoherentParams(x0, 0.0)
+    psi_in = coherent_wavefunction(inp, grid)
+    out = exact_output(params, psi_in)
+    cat = assemble_cat(perfect_cat(params, inp), grid)
+    return fidelity(out, cat), fidelity(out, semiclassical_output(params, psi_in))
+
+
+@pytest.mark.parametrize("n", [2800, 3000])
+@pytest.mark.parametrize("y_m", [0.0, 3.0])
+def test_scan_grid_resolves_cat_fringes_at_large_n(n, y_m):
+    # 4001 points alias the 2 sqrt(2n+1) fringes of |cat|^2 from n = 2700 on
+    g = scan_grid(n, 0.0, y_m)
+    assert g.count > 4001
+    fine = Grid1D(g.x_min, g.x_max, 4 * (g.count - 1) + 1)
+    expected = _fidelities_on(fine, n, y_m, 0.0)
+    got = (fidelity_cat_scan(n, y_m, 0.0), fidelity_scl_scan(n, y_m, 0.0))
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_far_offset_grid_stays_small():
+    # the conditional state underflows from |y_m - x0| = sqrt(2n+1) + 37 on,
+    # so a far outcome must not cost a grid that grows with the offset
+    for n in (1, 300, 3000):
+        assert scan_grid(n, 0.0, 1e9).count == scan_grid(n, 0.0, 200.0).count
+    assert scan_grid(1, 0.0, 1e9).count == 4001
+    for scan in (fidelity_cat_scan, fidelity_scl_scan):
+        with pytest.raises(ZeroProbabilityError, match="has density 0.0;"):
+            scan(1, 0.0, 1e9)
 
 
 def test_fidelity_self_is_one():
@@ -118,12 +156,12 @@ def test_density_spot_value():
 
 
 def test_window_probability_small_width_linear():
-    got = window_probability(5, 0.0, AcceptanceWindow(0.0, 0.01))
+    got = window_probability(5, 0.0, 0.01)
     np.testing.assert_allclose(got, outcome_density(5, 0.0, 0.0) * 0.01, rtol=1e-5)
 
 
 def test_window_probability_wide_window_near_one():
-    wide = window_probability(1, 0.0, AcceptanceWindow(0.0, 24.0))
+    wide = window_probability(1, 0.0, 24.0)
     np.testing.assert_allclose(wide, 1.0, rtol=0, atol=1e-8)
 
 
@@ -135,30 +173,25 @@ def test_mixed_fidelity_frozen_sequence():
         0.992793522665818,
         0.9862819215847776,
     ]
-    got = [mixed_fidelity(5, 0.0, AcceptanceWindow(0.0, d)) for d in widths]
+    got = [mixed_fidelity(5, 0.0, d) for d in widths]
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
     assert got[0] > got[1] > got[2] > got[3]
 
 
 def test_mixed_fidelity_narrow_window_limit():
-    narrow = mixed_fidelity(5, 0.0, AcceptanceWindow(0.0, 0.01))
+    narrow = mixed_fidelity(5, 0.0, 0.01)
     np.testing.assert_allclose(narrow, fidelity_cat_scan(5, 0.0, 0.0), rtol=0, atol=1e-5)
 
 
 def test_mixed_fidelity_translation_invariant():
-    base = mixed_fidelity(3, 0.0, AcceptanceWindow(0.0, 0.5))
-    moved = mixed_fidelity(3, 3.0, AcceptanceWindow(3.0, 0.5))
+    base = mixed_fidelity(3, 0.0, 0.5)
+    moved = mixed_fidelity(3, 3.0, 0.5)
     np.testing.assert_allclose(moved, base, rtol=0, atol=1e-12)
-
-
-def test_mixed_fidelity_window_must_track_input():
-    with pytest.raises(ValueError):
-        mixed_fidelity(3, 0.0, AcceptanceWindow(1.0, 0.5))
 
 
 def test_mixed_fidelity_rejects_window_past_turning_point():
     with pytest.raises(SingularShearError):
-        mixed_fidelity(1, 0.0, AcceptanceWindow(0.0, 2.0 * np.sqrt(3.0) + 0.1))
+        mixed_fidelity(1, 0.0, 2.0 * np.sqrt(3.0) + 0.1)
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 15, 200, 1000, 10_000])

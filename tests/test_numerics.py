@@ -10,7 +10,6 @@ from scipy.special import binom, eval_hermite
 from catgate.gate import _central_binomials
 from catgate.numerics import (
     Grid1D,
-    default_grid,
     eval_hermite_fn,
     integrate,
     integration_weights,
@@ -32,13 +31,6 @@ def test_grid_basics():
 def test_grid_rejects_bad_input(x_min, x_max, count):
     with pytest.raises(ValueError):
         Grid1D(x_min, x_max, count)
-
-
-def test_default_grid_span():
-    g = default_grid(4, 1.0)
-    assert g.count == 4001
-    np.testing.assert_allclose(g.x_min, 1.0 - 11.0)
-    np.testing.assert_allclose(g.x_max, 1.0 + 11.0)
 
 
 def test_simpson_weights_match_scipy():

@@ -16,8 +16,10 @@ import pytest
 from catgate.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# a RuntimeWarning fails a child as pyproject's filterwarnings fails an in-process test
 ENV = dict(os.environ,
-           PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+           PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+           PYTHONWARNINGS="error::RuntimeWarning")
 
 
 def _python(code: str, *args: str) -> subprocess.CompletedProcess:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from catgate.errors import GridCoverageError, ZeroStateError
-from catgate.numerics import Grid1D, default_grid, integrate
+from catgate.metrics import scan_grid
+from catgate.numerics import Grid1D, integrate
 from catgate.states import (
     CatSuperposition,
     CoherentParams,
@@ -25,13 +26,13 @@ def test_alpha_round_trip():
 
 @pytest.mark.parametrize("x0, p0", [(0.0, 0.0), (2.0, 0.0), (-1.0, 3.0), (4.0, -2.5)])
 def test_coherent_unit_norm(x0, p0):
-    grid = default_grid(0, x0)
+    grid = scan_grid(0, x0, x0)
     psi = coherent_wavefunction(CoherentParams(x0, p0), grid)
     np.testing.assert_allclose(psi.norm(), 1.0, rtol=0, atol=1e-13)
 
 
 def test_coherent_moments():
-    grid = default_grid(0, 1.2)
+    grid = scan_grid(0, 1.2, 1.2)
     psi = coherent_wavefunction(CoherentParams(1.2, -0.8), grid)
     density = np.abs(psi.values) ** 2
     np.testing.assert_allclose(integrate(grid.xs * density, grid), 1.2, rtol=0, atol=1e-12)
@@ -59,7 +60,7 @@ def test_coherent_requires_coverage():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 20])
 def test_fock_unit_norm(n):
-    psi = fock_wavefunction(n, default_grid(n, 0.0))
+    psi = fock_wavefunction(n, scan_grid(n, 0.0, 0.0))
     np.testing.assert_allclose(psi.norm(), 1.0, rtol=0, atol=1e-13)
 
 

@@ -135,6 +135,20 @@ def test_mehler_context_consistent_with_density():
         np.testing.assert_allclose(outcome_norm(n, delta), from_density, rtol=1e-12)
 
 
+def test_rates_past_the_double_range_give_zero_weights():
+    # delta^2/2 overflows to inf above |delta| ~ 1.34e154; M_n and the Poisson
+    # rows of the map are then 0, the correctly rounded value, with no warning
+    assert outcome_norm(3, 1e200) == 0.0
+    assert outcome_norm(0, 1e160) == 0.0
+    np.testing.assert_array_equal(outcome_norm(2, [-1e200, 0.0]), [0.0, 0.375])
+    params, inp = GateParams(3, 0.0), CoherentParams(0.0, 0.0)
+    axis = Grid1D(-1.0, 1.0, 3)
+    far = wigner_mehler(params, inp, axis, Grid1D(-1e200, 1e200, 3)).values
+    near = wigner_mehler(params, inp, axis, axis).values
+    np.testing.assert_array_equal(far[:, [0, 2]], 0.0)
+    np.testing.assert_array_equal(far[:, 1], near[:, 1])
+
+
 @pytest.mark.parametrize("n, count", [(300, 283), (600, 399), (1000, 515), (2000, 727)])
 def test_default_axes_keep_mass_at_large_n(n, count):
     params = GateParams(n, 0.0)
@@ -193,7 +207,7 @@ def test_total_mass_and_marginal():
     sg = aligned_state_grid(xa, -9.0, 9.0)
     from catgate.gate import exact_output
 
-    out = exact_output(params, coherent_wavefunction(inp, sg)).state
+    out = exact_output(params, coherent_wavefunction(inp, sg))
     idx = np.rint((xa.xs - sg.x_min) / sg.spacing).astype(int)
     np.testing.assert_allclose(marginal, np.abs(out.values[idx]) ** 2, rtol=0, atol=1e-10)
 
