@@ -8,6 +8,7 @@ from scipy.integrate import simpson
 from scipy.special import binom, eval_hermite
 
 from catgate.gate import _central_binomials
+from catgate.metrics import scan_grid
 from catgate.numerics import (
     Grid1D,
     eval_hermite_fn,
@@ -31,6 +32,14 @@ def test_grid_basics():
 def test_grid_rejects_bad_input(x_min, x_max, count):
     with pytest.raises(ValueError):
         Grid1D(x_min, x_max, count)
+
+
+def test_default_grid_span():
+    # the default grid at y_m = x0 spans x0 -/+ (8 + sqrt(2n+1)) with 4001 points
+    g = scan_grid(4, 1.0, 1.0)
+    assert g.count == 4001
+    np.testing.assert_allclose(g.x_min, 1.0 - 11.0)
+    np.testing.assert_allclose(g.x_max, 1.0 + 11.0)
 
 
 def test_simpson_weights_match_scipy():
