@@ -164,8 +164,9 @@ def _run_mixed_fidelity(p: dict):
 
     n, d = _product(p["n"], p["d"])
     points = list(zip(n.tolist(), d.tolist()))
-    f_mix = [mixed_fidelity(k, p["x0"], w) for k, w in points]
+    # P first: it checks every width before any F_mix can fail on one
     prob = [window_probability(k, p["x0"], w) for k, w in points]
+    f_mix = [mixed_fidelity(k, p["x0"], w) for k, w in points]
     data = [n, np.full(n.size, p["x0"]), d, np.array(f_mix), np.array(prob)]
     return ["n", "x0", "d", "F_mix", "P"], data, {}
 

@@ -37,7 +37,7 @@ from .gate import (
     semiclassical_output,
     taylor_phase,
 )
-from .numerics import Grid1D, integration_weights
+from .numerics import _RESCALE_STEPS, Grid1D, _rescale, integration_weights
 from .states import (
     CoherentParams,
     WaveFunctionGrid,
@@ -166,10 +166,6 @@ def window_probability(n: int, x0: float, width: float) -> float:
     return _adaptive_nodes(lo, hi, lambda ys: outcome_density(n, x0, ys))
 
 
-# Steps of the overlap recurrence between rescalings of its two rows.
-_RESCALE_STEPS = 32
-
-
 def _overlap_sq(n: int, x0: float, ys: np.ndarray) -> np.ndarray:
     """|<cat(y)|psi~(y)>|^2 for outcomes ys, from the Hermite generating function.
 
@@ -187,9 +183,8 @@ def _overlap_sq(n: int, x0: float, ys: np.ndarray) -> np.ndarray:
     over all nodes at once, O(n) work per node. Each step multiplies by w
     and takes -sqrt(2)/3 into its own scalar, so the rounding of a does not
     compound over the n steps. |e^{w^2/6 - d^2}| = e^{-(2n+1+d^2)/6} while
-    g_n grows about as fast, so every
-    _RESCALE_STEPS steps both rows are divided by the power of two just
-    above their larger magnitude, which is exact, and its integer exponent
+    g_n grows about as fast, so every _RESCALE_STEPS steps both rows are
+    rescaled by numerics._rescale, which is exact, and the carried exponent
     joins the exponential at the end: n = 10^4 stays finite, and no rounded
     logarithm accumulates.
     """
@@ -210,11 +205,7 @@ def _overlap_sq(n: int, x0: float, ys: np.ndarray) -> np.ndarray:
         g_next -= g_prev
         g_prev, g, g_next = g, g_next, g_prev
         if m % _RESCALE_STEPS == 0:
-            _, shift = np.frexp(np.maximum(np.abs(g), np.abs(g_prev)))
-            scale = np.ldexp(1.0, -shift)
-            g *= scale
-            g_prev *= scale
-            binexp += shift
+            g, g_prev, binexp = _rescale(g, g_prev, binexp)
     # Re and Im of w^2/6 - d^2 - i(theta0 + k d), plus the carried scale
     expo = binexp * math.log(2.0) - (2.0 * d * d + k * k) / 6.0
     phase = tp.theta0 + k * d / 3.0

@@ -61,10 +61,6 @@ _EDGE_TOL = 1e-12
 # z-step of the oracle; first Simpson alias then sits far above the
 # p-bandwidths occurring here
 _ORACLE_SPACING = 0.02
-# largest x~^2 at which e^{-x~^2} is still a normal double
-_HERMITE_START_LIMIT = 708.0
-# largest |x - y_m| of a default x axis, within sqrt(_HERMITE_START_LIMIT)
-_AXIS_REACH = 26.6
 
 
 @dataclass(frozen=True)
@@ -104,11 +100,7 @@ def default_axes(params: GateParams, inp: CoherentParams) -> tuple[Grid1D, Grid1
     at x0, with the Gaussian tail of width 1/sqrt(2); beyond that, h_n
     decays and the peak sits where the two factors balance (WKB),
     (|y_m - x0|^2 + 2n + 1)/(2 |y_m - x0|) from y_m, between x0 and x_c,
-    with a tail at most 1/2 wide. The axis reaches 6 beyond that peak, but
-    not past 26.6 from y_m where the Hermite rows of wigner_mehler start
-    to underflow, unless that leaves under 5.5 widths of tail; then the
-    state may lie out of their range and wigner_mehler raises
-    GridCoverageError rather than print a map that misses it.
+    with a tail at most 1/2 wide. The axis reaches 6 beyond that peak.
 
     The p axis takes max(201, 2 ceil(36 sqrt(2n+1)/(2 pi)) + 1) points,
     201 up to n = 151, so the interference fringes, whose period shrinks as
@@ -119,14 +111,9 @@ def default_axes(params: GateParams, inp: CoherentParams) -> tuple[Grid1D, Grid1
     d = params.y_m - inp.x0
     r = params.radius
     count = max(201, 2 * math.ceil(36.0 * r / (2.0 * math.pi)) + 1)
-    # distance from y_m of the x marginal's peak, and the least margin beyond
-    # it that holds 5.5 standard deviations of its tail
-    if abs(d) <= r:
-        reach, tail = abs(d), 5.5 / math.sqrt(2.0)
-    else:
-        reach, tail = 0.5 * (abs(d) + r * r / abs(d)), 5.5 / 2.0
-    margin = min(6.0, max(tail, _AXIS_REACH - reach))
-    near = params.y_m - math.copysign(reach + margin, d)
+    # distance from y_m of the x marginal's peak
+    reach = abs(d) if abs(d) <= r else 0.5 * (abs(d) + r * r / abs(d))
+    near = params.y_m - math.copysign(reach + 6.0, d)
     ends = sorted((near, params.y_m - 0.5 * d + math.copysign(6.0, d)))
     x_count = 2 * math.ceil((count - 1) * (ends[1] - ends[0]) / 24.0) + 1
     return (
@@ -143,11 +130,11 @@ def wigner_mehler(
     W = pi^{-3/4} e^{-(x - x0)^2} sum_k sqrt(c_k) h_{2k}(sqrt(2) x~)
     Pois(n - k; p~^2/2) / M_n, one (nx, n+1) by (n+1, np) contraction of
     Hermite rows over x and Poisson rows over p; every factor is at most 1,
-    so nothing overflows. An outcome whose M_n is below 1e-300 has no
-    conditional state and raises ZeroProbabilityError. The Hermite rows
-    start from e^{-x~^2}, which leaves the normal double range at
-    |x~| > 26.6; an x there at which W need not be negligible raises
-    GridCoverageError.
+    so nothing overflows. The Hermite rows come as mantissas and powers of
+    two (numerics._hermite_orders); each x's rows share one exponent, which
+    joins the x factor before the contraction, so no row underflows where
+    W does not, however far x lies from y_m. An outcome whose M_n is below
+    1e-300 has no conditional state and raises ZeroProbabilityError.
     """
     n = params.n
     m_n = outcome_norm(n, params.y_m - inp.x0)
@@ -159,18 +146,12 @@ def wigner_mehler(
     x_t = x_axis.xs - params.y_m
     p_t = p_axis.xs - inp.p0
     scale = np.exp(-((x_axis.xs - inp.x0) ** 2)) * (np.pi**-0.75 / m_n)
-    # h_0(sqrt(2) x~) = pi^{-1/4} e^{-x~^2} leaves the normal range of doubles,
-    # and every higher row with it, where x~^2 > 708; W there is bounded by
-    # pi^{-1/4} scale (|h_m| <= pi^{-1/4}) and must be negligible
-    lost = (x_t * x_t > _HERMITE_START_LIMIT) & (scale > np.finfo(float).eps)
-    if np.any(lost):
-        raise GridCoverageError(
-            f"x = {x_axis.xs[lost][0]} lies beyond |x - y_m| = "
-            f"{math.sqrt(_HERMITE_START_LIMIT):.1f}, where the Hermite rows underflow "
-            f"but the Wigner map need not vanish; keep the x axis within that distance "
-            f"of y_m = {params.y_m}"
-        )
-    hermite = np.array(list(islice(_hermite_orders(np.sqrt(2.0) * x_t), 0, 2 * n + 1, 2)))
+    orders = islice(_hermite_orders(np.sqrt(2.0) * x_t), 0, 2 * n + 1, 2)
+    mantissas, binexps = (np.array(rows) for rows in zip(*orders))
+    # bring each x's rows to their largest exponent, which joins its scale
+    common = binexps.max(axis=0)
+    hermite = np.ldexp(mantissas, binexps - common)
+    scale = np.ldexp(scale, common)
     poisson = _poisson_weights(p_t, n)[:, ::-1] * np.sqrt(_central_binomials(n))
     values = hermite.T @ poisson.T
     values *= scale[:, None]

@@ -22,6 +22,37 @@ def outcome_density_quadrature(n: int, x0: float, y_m: float) -> float:
     return float(integrate(dens, grid))
 
 
+# pi to 50 significant digits
+_PI = Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def _decimal(i: int) -> Decimal:
+    """A Python integer as a Decimal, from its leading 200 bits."""
+    shift = max(0, abs(i).bit_length() - 200)
+    return Decimal(i >> shift) * Decimal(2) ** shift
+
+
+def hermite_fn_exact(n: int, x: float) -> Decimal:
+    """h_n(x) = H_n(x) e^{-x^2/2} / (pi^{1/4} sqrt(2^n n!)) at the double x,
+    to 40 significant digits. With x = a/2^b, G_k = H_k(x) 2^{bk} is an
+    integer, and H_{k+1} = 2x H_k - 2k H_{k-1} becomes
+    G_{k+1} = 2a G_k - 2k 4^b G_{k-1}, which is exact; the rest is 50-digit
+    decimal, whose exponent range holds h_n where doubles underflow. The
+    cost grows with b, so x with few binary digits after the point is
+    cheapest."""
+    frac = Fraction(x)
+    a, b = frac.numerator, frac.denominator.bit_length() - 1
+    g_prev, g = 0, 1
+    for k in range(n):
+        g_prev, g = g, 2 * a * g - (2 * k << 2 * b) * g_prev
+    with localcontext() as ctx:
+        ctx.prec = 50
+        half_sq = frac * frac / 2
+        gauss = (-Decimal(half_sq.numerator) / Decimal(half_sq.denominator)).exp()
+        norm = _PI.sqrt().sqrt() * _decimal(math.factorial(n) << n).sqrt()
+        return _decimal(g) * Decimal(2) ** (-b * n) * gauss / norm
+
+
 def outcome_norm_exact(n: int, delta: float) -> Decimal:
     """M_n = e^{-lam} sum_k C(2k,k)/4^k lam^(n-k)/(n-k)! at lam = delta^2/2, to 40
     significant digits: the sum is exact rational arithmetic on the double

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -556,23 +557,33 @@ def test_top_level_exports_match_the_modules():
     assert all(hasattr(catgate, name) for name in catgate.__all__)
 
 
+def _default_axes_mass(n: int, y_m: float, text: str) -> float:
+    w = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, usecols=2)
+    x_axis, p_axis = default_axes(GateParams(n, y_m), CoherentParams(0.0, 0.0))
+    return WignerGrid(x_axis, p_axis, w.reshape(x_axis.count, p_axis.count)).total_mass()
+
+
 def test_wigner_default_axes_follow_far_outcome(capsys):
-    # at n = 4, y_m = 25 the state sits near x_c = 12.5; the x axis stays
-    # within 26.6 of y_m, where the Hermite rows are in range
+    # at n = 4, y_m = 25 the state sits near x_c = 12.5, between x0 and y_m
     assert main(["wigner", "--n", "4", "--ym", "25"]) == 0
-    w = np.loadtxt(capsys.readouterr().out.splitlines()[1:], delimiter=",")[:, 2]
-    x_axis, p_axis = default_axes(GateParams(4, 25.0), CoherentParams(0.0, 0.0))
-    grid = WignerGrid(x_axis, p_axis, w.reshape(x_axis.count, p_axis.count))
-    assert abs(grid.total_mass() - 1.0) < 1e-6
+    assert abs(_default_axes_mass(4, 25.0, capsys.readouterr().out) - 1.0) < 1e-6
 
 
-def test_wigner_default_axes_refuse_unreachable_state(capsys):
+def test_wigner_default_axes_reach_far_state(capsys):
     # at n = 1000, y_m = 30 the state sits near x0 = 0, 30 away from y_m,
-    # beyond the distance at which the Hermite rows start
-    assert main(["wigner", "--n", "1000", "--ym", "30"]) == 3
-    captured = capsys.readouterr()
-    assert "Hermite rows underflow" in captured.err
-    assert captured.out == ""
+    # where the first Hermite row e^{-(x - y_m)^2} is below the double range
+    assert main(["wigner", "--n", "1000", "--ym", "30"]) == 0
+    assert abs(_default_axes_mass(1000, 30.0, capsys.readouterr().out) - 1.0) < 1e-6
+
+
+def test_fidelity_scan_keeps_state_beyond_hermite_start_range(capsys):
+    # at n = 3000, x0 = 60 the input sits inside the band of radius 77.5 but
+    # past |x - y_m| = 38.6, where h_0 = pi^{-1/4} e^{-x^2/2} underflows; the
+    # output is still close to its semiclassical form (F_scl = 0.99992)
+    assert main(["fidelity-scan", "--n", "3000", "--x0", "60"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split(",")[-1] == "F_scl"
+    assert float(row.split(",")[-1]) >= 0.9999
 
 
 def _g17_edge_values() -> np.ndarray:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from catgate.numerics import (
     integrate,
     integration_weights,
 )
+from oracles import hermite_fn_exact
 
 
 def test_grid_basics():
@@ -97,6 +99,26 @@ def test_hermite_fn_high_order_no_overflow():
     values = eval_hermite_fn(120, np.linspace(-20.0, 20.0, 101))
     assert np.all(np.isfinite(values))
     assert np.max(np.abs(values)) < 1.0
+    # past |x| = 38.6 e^{-x^2/2} is below the double range but h_n need not be
+    assert eval_hermite_fn(120, 38.7) != 0.0
+    far = eval_hermite_fn(3000, np.array([38.7, 60.0]))
+    assert np.all(far != 0.0) and np.max(np.abs(far)) < 1.0
+    # far beyond the band every order is 0, and nothing overflows on the way
+    assert not np.any(eval_hermite_fn(64, np.array([-1e150, 1e5, 1e9])))
+
+
+# Points from 0.3 across the turning point sqrt(2n+1) (77.5 and 141.4) and
+# beyond, with the relative bound for each n; x with few binary digits after
+# the point keeps the exact oracle fast.
+@pytest.mark.parametrize(
+    "n, x, rtol",
+    [(3000, x, 5e-13) for x in (0.3, 38.7, 60.0, 77.0, 80.0, 90.0)]
+    + [(10_000, x, 2e-12) for x in (0.375, 38.75, 100.5, 141.25, 150.0)],
+)
+def test_hermite_fn_matches_exact_oracle(n, x, rtol):
+    exact = hermite_fn_exact(n, x)
+    assert exact != 0
+    assert abs((Decimal(eval_hermite_fn(n, x)) - exact) / exact) <= rtol
 
 
 def test_inv_sqrt_series_central_binomials():

@@ -99,6 +99,10 @@ sys.exit(status)
         (["wigner", "--n", "2", "--ym", "inf"], 2),
         (["prob-density", "--n", "1", "--ym", "0", "--timings"], 2),
         (["mixed-fidelity", "--n", "5", "--d", "10"], 3),
+        # every width is checked before a valid one can fail on its turning point
+        (["mixed-fidelity", "--n", "1", "--d", "10,0"], 2),
+        # rows past the double range are rescaled without an overflow warning
+        (["wigner", "--n", "1000", "--ym", "30", "--x-range=-6:6:61", "--p-range=-50:50:101"], 0),
     ],
 )
 def test_exit_freeze_keeps_output_and_status(argv, status, tmp_path, capsys):

@@ -56,14 +56,15 @@ def test_default_axes_centred_outcome_unchanged(n, x0):
 @pytest.mark.parametrize(
     "n, y_m",
     [(100, 10.0), (100, -10.0), (300, 10.0), (300, 20.0)]
-    + [(1, 22.0), (4, 25.0), (10, 30.0), (150, 40.0)],
+    + [(1, 22.0), (4, 25.0), (10, 30.0), (150, 40.0)]
+    + [(300, 25.0), (1000, 30.0)],
 )
 def test_default_axes_keep_mass_off_centre(n, y_m):
     # for the first four sqrt(2n+1) is comparable to |y_m - x0| and the state
     # sits near x0, which an x axis centred between x0 and y_m missed by up to
-    # all its mass; for the others it sits between that centre and x0, and
-    # an x axis reaching 6 beyond x0 would cross the Hermite range 26.6 from
-    # y_m, where wigner_mehler refuses the map
+    # all its mass; for the next four it sits between that centre and x0; for
+    # the last two it sits near x0, where the first Hermite row
+    # e^{-(x - y_m)^2} is below the double range
     params, inp = GateParams(n, y_m), CoherentParams(0.0, 0.0)
     xa, pa = default_axes(params, inp)
     assert xa.spacing <= 12.0 / (pa.count - 1)
@@ -171,16 +172,14 @@ def test_engines_agree_on_wide_momentum_axis():
     np.testing.assert_allclose(wm.values, wq.values, rtol=0, atol=1e-12)
 
 
-def test_mehler_rejects_axis_beyond_hermite_range():
-    # at n = 600, y_m = 28 the state sits near x0 = 0, where x - y_m is beyond
-    # the range in which e^{-(x - y_m)^2} starts the Hermite rows
+def test_mehler_matches_quadrature_far_from_outcome():
+    # at n = 600, y_m = 28 the state sits near x0 = 0, where the first
+    # Hermite row e^{-(x - y_m)^2} underflows; the rows carry that part in
+    # their exponent
     params = GateParams(600, 28.0)
     inp = CoherentParams(0.0, 0.0)
+    xa = Grid1D(-6.0, 6.0, 41)
     pa = Grid1D(-params.radius - 4.0, params.radius + 4.0, 41)
-    with pytest.raises(GridCoverageError, match="26.6"):
-        wigner_mehler(params, inp, Grid1D(-6.0, 6.0, 41), pa)
-    # within that range the map is computed, and is what quadrature gives
-    xa = Grid1D(1.5, 4.5, 31)
     wm = wigner_mehler(params, inp, xa, pa)
     wq = wigner_output_quadrature(params, inp, xa, pa)
     np.testing.assert_allclose(wm.values, wq.values, rtol=0, atol=1e-12)
