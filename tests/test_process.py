@@ -109,6 +109,8 @@ def test_exit_freeze_keeps_output_and_status(argv, status, tmp_path, capsys):
     target = tmp_path / "table"
     assert main(argv) == status
     expected = capsys.readouterr()
+    # a failed run prints no partial table
+    assert status == 0 or expected.out == ""
     assert main(argv + ["--out", str(target)]) == status
     expected_file = target.read_bytes() if status == 0 else None
     capsys.readouterr()
