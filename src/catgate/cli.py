@@ -94,26 +94,17 @@ def _product(outer, inner) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(outer, inner.size), np.tile(inner, outer.size)
 
 
-def _run_fidelity_scan(p: dict):
-    from .metrics import fidelity_scl_scan
+def _run_fidelity_scan(p: dict, column: str):
+    """F_scl or F_cat over every (x0, n), n varying fastest; cat-fidelity
+    alone has --ym-equals-x0, which takes each row's outcome equal to its x0."""
+    from . import metrics
 
+    scan = metrics.fidelity_cat_scan if column == "F_cat" else metrics.fidelity_scl_scan
     x0, n = _product(p["x0"], p["n"])
-    f = [fidelity_scl_scan(k, p["y_m"], x, p["p0"]) for x, k in zip(x0.tolist(), n.tolist())]
-    data = [n, np.full(n.size, p["y_m"]), x0, np.full(n.size, p["p0"]), np.array(f)]
-    return ["n", "y_m", "x0", "p0", "F_scl"], data, {}
-
-
-def _run_cat_fidelity(p: dict):
-    from .metrics import fidelity_cat_scan
-
-    x0, n = _product(p["x0"], p["n"])
-    y_m = x0 if p["ym_equals_x0"] else np.full(n.size, p["y_m"])
-    f = [
-        fidelity_cat_scan(k, y, x, p["p0"])
-        for k, y, x in zip(n.tolist(), y_m.tolist(), x0.tolist())
-    ]
+    y_m = x0 if p.get("ym_equals_x0") else np.full(n.size, p["y_m"])
+    f = [scan(k, y, x, p["p0"]) for k, y, x in zip(n.tolist(), y_m.tolist(), x0.tolist())]
     data = [n, y_m, x0, np.full(n.size, p["p0"]), np.array(f)]
-    return ["n", "y_m", "x0", "p0", "F_cat"], data, {}
+    return ["n", "y_m", "x0", "p0", column], data, {}
 
 
 def _run_wigner(p: dict):
@@ -191,8 +182,8 @@ def _run_scl_map(p: dict):
 
 
 _HANDLERS = {
-    "fidelity-scan": _run_fidelity_scan,
-    "cat-fidelity": _run_cat_fidelity,
+    "fidelity-scan": functools.partial(_run_fidelity_scan, column="F_scl"),
+    "cat-fidelity": functools.partial(_run_fidelity_scan, column="F_cat"),
     "wigner": _run_wigner,
     "prob-density": _run_prob_density,
     "mixed-fidelity": _run_mixed_fidelity,

@@ -139,9 +139,10 @@ def fock_wavefunction(n: int, grid: Grid1D) -> WaveFunctionGrid:
 def assemble_cat(cat: CatSuperposition, grid: Grid1D) -> WaveFunctionGrid:
     """Sample the normalized cat state described by `cat` on `grid`.
 
-    Cross-checks the grid norm against the analytic norm_factor and raises
-    GridCoverageError when they disagree, which catches grids that clip a
-    component.
+    The tests use it as the grid oracle of fidelity_cat_scan and
+    wigner_cat_reference, which sample no cat. Cross-checks the grid norm
+    against the analytic norm_factor and raises GridCoverageError when they
+    disagree, which catches grids that clip a component.
     """
     if cat.norm_factor < 1e-10:
         raise ZeroStateError("cat components cancel; the state has no norm")

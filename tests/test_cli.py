@@ -38,7 +38,7 @@ def test_cat_fidelity_csv_frozen_output(capsys):
     assert main(["cat-fidelity", "--n", "1,5,15"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "n,y_m,x0,p0,F_cat"
-    assert lines[1] == "1,0,0,0,0.97336797343683612"
+    assert lines[1] == "1,0,0,0,0.97336797343683601"
     assert len(lines) == 4
 
 
@@ -215,10 +215,12 @@ def test_unconverged_window_integral_exits_3(capsys, monkeypatch):
 
 
 def test_singular_window_exits_3(capsys):
-    assert main(["mixed-fidelity", "--n", "5", "--d", "10"]) == 3
-    err = capsys.readouterr().err
-    assert "window half-width" in err
-    assert not err.startswith("invalid configuration")
+    # P comes first, so at width 1e4, far wider than the density, it must converge
+    for n, width in (("5", "10"), ("1", "1e4")):
+        assert main(["mixed-fidelity", "--n", n, "--d", width]) == 3
+        err = capsys.readouterr().err
+        assert "window half-width" in err
+        assert not err.startswith("invalid configuration")
 
 
 def test_run_accepts_prebuilt_config(capsys):

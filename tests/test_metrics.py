@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from catgate.errors import ConvergenceError, SingularShearError, ZeroProbabilityError
-from catgate.gate import GateParams, exact_output, perfect_cat, semiclassical_output
+from catgate.gate import GateParams, exact_output, perfect_cat, semiclassical_output, taylor_phase
 from catgate.metrics import (
     _adaptive_nodes,
     _overlap_sq,
@@ -60,6 +60,16 @@ def test_scan_grid_resolves_cat_fringes_at_large_n(n, y_m):
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 7, 20, 40])
+@pytest.mark.parametrize("x0", [0.0, 1.0, 2.0])
+def test_cat_fidelity_matches_refined_grid(n, x0):
+    # the closed form against the sampled output and assembled cat
+    g = scan_grid(n, x0, 0.0)
+    fine = Grid1D(g.x_min, g.x_max, 4 * (g.count - 1) + 1)
+    expected, _ = _fidelities_on(fine, n, 0.0, x0)
+    assert abs(fidelity_cat_scan(n, 0.0, x0) - expected) <= 1e-14
+
+
 def test_far_offset_grid_stays_small():
     # the conditional state underflows from |y_m - x0| = sqrt(2n+1) + 37 on,
     # so a far outcome must not cost a grid that grows with the offset
@@ -93,12 +103,15 @@ def test_cat_fidelity_frozen_displaced(x0, expected):
     np.testing.assert_allclose(fidelity_cat_scan(10, 0.0, x0), expected, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("x0", [0.0, 3.0, 5.0])
+@pytest.mark.parametrize("x0", [0.0, 3.0, 5.0, 123456.5, 1e9])
 @pytest.mark.parametrize("p0", [0.0, 3.0])
 def test_cat_fidelity_centered_invariance(x0, p0):
     np.testing.assert_allclose(
         fidelity_cat_scan(5, x0, x0, p0), 0.994757632468833, rtol=0, atol=1e-9
     )
+    # both scans work in the offset y_m - x0 alone, so a large x0 costs no digits
+    for scan in (fidelity_cat_scan, fidelity_scl_scan):
+        assert scan(5, x0, x0, p0) == scan(5, 0.0, 0.0, p0)
 
 
 @pytest.mark.parametrize(
@@ -157,6 +170,12 @@ def test_window_probability_small_width_linear():
     np.testing.assert_allclose(got, outcome_density(5, 0.0, 0.0) * 0.01, rtol=1e-5)
 
 
+@pytest.mark.parametrize("n, width", [(1, 1e4), (300, 1e300), (40, 1e4)])
+def test_window_probability_far_wider_than_density(n, width):
+    # the window is cut where the density has underflowed, so Simpson still resolves it
+    assert abs(window_probability(n, 0.0, width) - 1.0) <= 1e-9
+
+
 def test_window_probability_wide_window_near_one():
     wide = window_probability(1, 0.0, 24.0)
     np.testing.assert_allclose(wide, 1.0, rtol=0, atol=1e-8)
@@ -198,7 +217,9 @@ def test_overlap_integrand_matches_closed_form(n, x0, width):
     ys = x0 + 0.5 * width * np.array([-1.0, -0.37, 0.0, 0.5, 1.0])
     ys = ys[np.abs(ys - x0) < np.sqrt(2.0 * n + 1.0)]
     expected = overlap_sq_quadrature(n, x0, width, ys)
-    np.testing.assert_allclose(_overlap_sq(n, x0, ys), expected, rtol=0, atol=1e-12)
+    tp = taylor_phase(GateParams(n, 0.0), x0 - ys)
+    got = _overlap_sq(n, ys - x0, tp.p_plus, tp.theta0)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_adaptive_nodes_rejects_non_finite_estimate():

@@ -8,7 +8,7 @@ from catgate.errors import GridCoverageError
 from catgate.gate import GateParams, outcome_norm, perfect_cat
 from catgate.metrics import outcome_density
 from catgate.numerics import Grid1D, integration_weights
-from catgate.states import CoherentParams, coherent_wavefunction, fock_wavefunction
+from catgate.states import CoherentParams, assemble_cat, coherent_wavefunction, fock_wavefunction
 from catgate.wigner import (
     WignerGrid,
     aligned_state_grid,
@@ -267,6 +267,24 @@ def test_cat_reference_fringe_spacing():
     spacing = np.diff(xa.xs[crossings])
     np.testing.assert_allclose(
         spacing.mean(), np.pi / (2.0 * params.radius), rtol=0.02
+    )
+
+
+# n = 400 puts the components so far apart that <alpha_-|alpha_+> = e^{-801}
+# underflows, while the Gaussian of the cross term alone would overflow
+@pytest.mark.parametrize(
+    "n, y_m, x0, p0", [(2, 0.2, 0.5, -0.3), (7, 1.0, -0.5, 1.5), (20, -2.0, 0.3, 0.7),
+                       (400, 0.5, -1.0, 2.5)]
+)
+def test_cat_reference_matches_quadrature_of_assembled_cat(n, y_m, x0, p0):
+    params = GateParams(n, y_m)
+    cat = perfect_cat(params, CoherentParams(x0, p0))
+    xa = Grid1D(x0 - 4.0, x0 + 4.0, 41)
+    pa = Grid1D(p0 - params.radius - 4.0, p0 + params.radius + 4.0, 81)
+    state = assemble_cat(cat, aligned_state_grid(xa, x0 - 9.0, x0 + 9.0))
+    np.testing.assert_allclose(
+        wigner_cat_reference(cat, xa, pa).values, wigner_quadrature(state, xa, pa).values,
+        rtol=0, atol=1e-12,
     )
 
 
