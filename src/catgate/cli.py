@@ -2,10 +2,15 @@
 
 Every command writes one table: a header of glossary symbols and one
 record per scan point, all floats serialized with 17 significant digits.
-Rows are formatted and written in blocks, so the whole document is never
-held in memory. Identical invocations produce byte-identical files; timing
-metadata is opt-in for that reason. Exit status is 0 on success, 2 for an
-invalid configuration, 3 when the numerics refuse the requested point.
+Rows are formatted and written in blocks, and the renderer holds one
+block at a time: no array is as long as the table besides the handler's
+data. A column of that data is either plain, an array of its numbers, or
+factored, its distinct values and each row's index into them; a factored
+column's values are formatted once per table, a plain column's once per
+block after dropping the block's repeats. Identical invocations produce
+byte-identical files; timing metadata is opt-in for that reason. Exit
+status is 0 on success, 2 for an invalid configuration, 3 when the
+numerics refuse the requested point.
 Each command imports the modules it computes with when it runs, and json
 is imported only for JSON output, so that `import catgate.cli` loads no
 more of the package than catgate.errors and catgate.numerics.
@@ -88,10 +93,15 @@ def _axis_spec(text: str) -> Grid1D:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _product(outer, inner) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of every (outer, inner) pair, inner varying fastest."""
+def _product(outer, inner) -> tuple[tuple, tuple]:
+    """Columns of every (outer, inner) pair, inner varying fastest, both
+    factored: each is its values and every row's index into them, so that
+    neither column is materialised. An index takes the smallest unsigned
+    type that holds it; values[index] gives a column's rows."""
     outer, inner = np.asarray(outer), np.asarray(inner)
-    return np.repeat(outer, inner.size), np.tile(inner, outer.size)
+    i = np.arange(outer.size, dtype=np.min_scalar_type(outer.size))
+    j = np.arange(inner.size, dtype=np.min_scalar_type(inner.size))
+    return (outer, np.repeat(i, inner.size)), (inner, np.tile(j, outer.size))
 
 
 def _run_fidelity_scan(p: dict, column: str):
@@ -101,9 +111,10 @@ def _run_fidelity_scan(p: dict, column: str):
 
     scan = metrics.fidelity_cat_scan if column == "F_cat" else metrics.fidelity_scl_scan
     x0, n = _product(p["x0"], p["n"])
-    y_m = x0 if p.get("ym_equals_x0") else np.full(n.size, p["y_m"])
-    f = [scan(k, y, x, p["p0"]) for k, y, x in zip(n.tolist(), y_m.tolist(), x0.tolist())]
-    data = [n, y_m, x0, np.full(n.size, p["p0"]), np.array(f)]
+    xs, ks = x0[0][x0[1]], n[0][n[1]]
+    y_m = xs if p.get("ym_equals_x0") else np.full(xs.size, p["y_m"])
+    f = [scan(k, y, x, p["p0"]) for k, y, x in zip(ks.tolist(), y_m.tolist(), xs.tolist())]
+    data = [n, y_m, x0, np.full(xs.size, p["p0"]), np.array(f)]
     return ["n", "y_m", "x0", "p0", column], data, {}
 
 
@@ -147,18 +158,19 @@ def _run_prob_density(p: dict):
         ys = (p["y_axis"] or Grid1D(p["x0"] - 5.0, p["x0"] + 5.0, 201)).xs
     n, y_m = _product(p["n"], ys)
     dens = np.concatenate([outcome_density(k, p["x0"], ys) for k in p["n"]])
-    return ["n", "y_m", "x0", "P"], [n, y_m, np.full(n.size, p["x0"]), dens], {}
+    return ["n", "y_m", "x0", "P"], [n, y_m, np.full(dens.size, p["x0"]), dens], {}
 
 
 def _run_mixed_fidelity(p: dict):
-    from .metrics import mixed_fidelity, window_probability
+    from .metrics import _window_fidelity, window_probability
 
     n, d = _product(p["n"], p["d"])
-    points = list(zip(n.tolist(), d.tolist()))
-    # P first: it checks every width before any F_mix can fail on one
+    points = list(zip(n[0][n[1]].tolist(), d[0][d[1]].tolist()))
+    # P first: it checks every width before any F_mix can fail on one, and
+    # each F_mix divides by its row's P instead of integrating it again
     prob = [window_probability(k, p["x0"], w) for k, w in points]
-    f_mix = [mixed_fidelity(k, p["x0"], w) for k, w in points]
-    data = [n, np.full(n.size, p["x0"]), d, np.array(f_mix), np.array(prob)]
+    f_mix = [_window_fidelity(k, p["x0"], w, q) for (k, w), q in zip(points, prob)]
+    data = [n, np.full(len(points), p["x0"]), d, np.array(f_mix), np.array(prob)]
     return ["n", "x0", "d", "F_mix", "P"], data, {}
 
 
@@ -168,17 +180,19 @@ def _run_scl_map(p: dict):
 
     params = GateParams(p["n"], p["y_m"])
     disk = map_disk(params, (p["x0"], p["p0"]), p["radius"], p["samples"])
-    parts = (disk.source, disk.upper, disk.lower)
-    # the label column already factored: its labels and each row's index into them
-    branch = (["source", "upper", "lower"], np.repeat(np.arange(3), [q.size for q, _ in parts]))
-    q = np.concatenate([q for q, _ in parts])
-    mom = np.concatenate([mom for _, mom in parts])
+    (q, mom), (upper, lower) = disk.source, disk.preimage
+    sizes = [q.size, upper.size, lower.size]
+    branch = (["source", "upper", "lower"], np.repeat(np.arange(3, dtype=np.uint8), sizes))
+    # the gate keeps q, so each image's q is that of its preimage, a row of source
+    rows = np.concatenate([np.arange(q.size), upper, lower],
+                          dtype=np.min_scalar_type(q.size), casting="unsafe")
+    mom = np.concatenate([mom, disk.upper[1], disk.lower[1]])
     metadata = {
         "dropped": disk.dropped,
         "upper_count": disk.upper[0].size,
         "lower_count": disk.lower[0].size,
     }
-    return ["branch", "q", "p"], [branch, q, mom], metadata
+    return ["branch", "q", "p"], [branch, (q, rows), mom], metadata
 
 
 _HANDLERS = {
@@ -335,53 +349,71 @@ def _g17_cells(values: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _distinct_cells(column, quote) -> tuple[np.ndarray, np.ndarray]:
-    """Each distinct value of `column` as text in a fixed-width byte array,
-    and the index of every row into that array.
-
-    A number column is an array. Its numbers are told apart by their bit
-    pattern, so -0.0 and 0.0 keep their own text, and each is formatted
-    once, _BLOCK_ROWS at a time, by _g17_cells: %.17g's text byte for byte,
-    from digits computed exactly enough to decide their rounding, with
-    b"%.17g" % v for the values where they cannot (see _decimal_digits).
-    A label column comes already factored, as its labels and each row's
-    index into them; each label passes through `quote` once.
-    """
-    if isinstance(column, tuple):
-        labels, index = column
-        return np.array([quote(s).encode() for s in labels], dtype=bytes), index
-    keys, index = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
-    values = keys.view(column.dtype)
+def _number_cells(values: np.ndarray) -> np.ndarray:
+    """_g17_cells of every value, _BLOCK_ROWS at a time."""
     cells = np.empty(values.size, dtype=f"S{_NUMBER_WIDTH}")
     for start in range(0, values.size, _BLOCK_ROWS):
         cells[start : start + _BLOCK_ROWS] = _g17_cells(values[start : start + _BLOCK_ROWS])
-    return cells, index
+    return cells
+
+
+def _block_cells(column: np.ndarray) -> np.ndarray:
+    """The cells of one block of a plain number column. Its numbers are told
+    apart by their bit pattern, so -0.0 and 0.0 keep their own text, and
+    each distinct one is formatted once."""
+    keys, index = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
+    return _g17_cells(keys.view(column.dtype))[index]
 
 
 def _row_blocks(data: list, quote, lead: bytes, end: bytes):
     """The rows as text, _BLOCK_ROWS at a time: each row is `lead`, its
     cells joined by commas, then `end`.
 
-    A block is a uint8 matrix with one fixed-width slot per cell; dropping
+    A column is plain, an array of numbers, or factored, a pair of its
+    values and each row's index into them. A factored column's values are
+    formatted once, numbers by _number_cells and labels (a list) by `quote`,
+    and each block gathers its cells from them; a plain column's cells are
+    made per block by _block_cells. The text is %.17g's byte for byte, from
+    digits computed exactly enough to decide their rounding, with
+    b"%.17g" % v for the values where they cannot (see _decimal_digits).
+
+    A block is a uint8 matrix with one fixed-width slot per cell. It is
+    allocated once the block's plain cells are made, and the factored
+    cells are gathered into it one column at a time, so that neither it nor
+    a gathered column coexists with the formatter's temporaries. Dropping
     the NUL padding of the slots leaves the row text.
     """
-    cells = [_distinct_cells(c, quote) for c in data]
+    columns = []
+    for column in data:
+        if isinstance(column, tuple):
+            values, index = column
+            if isinstance(values, list):
+                text = np.array([quote(s).encode() for s in values], dtype=bytes)
+            else:
+                text = _number_cells(values)
+            column = (text, index)
+        columns.append(column)
     template = bytearray(lead)
     slots = []
-    for i, (text, _) in enumerate(cells):
+    for i, column in enumerate(columns):
+        width = column[0].itemsize if isinstance(column, tuple) else _NUMBER_WIDTH
         if i:
             template += b","
-        slots.append(slice(len(template), len(template) + text.itemsize))
-        template += bytes(text.itemsize)
+        slots.append(slice(len(template), len(template) + width))
+        template += bytes(width)
     template += end
     row = np.frombuffer(bytes(template), dtype=np.uint8)
-    rows = cells[0][1].size
+    first = columns[0]
+    rows = first[1].size if isinstance(first, tuple) else first.size
     for start in range(0, rows, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, rows)
+        plain = [None if isinstance(c, tuple) else _block_cells(c[start:stop]) for c in columns]
         block = np.tile(row, (stop - start, 1))
-        for (text, index), slot in zip(cells, slots):
-            block[:, slot] = text[index[start:stop]].view(np.uint8).reshape(stop - start, -1)
-        yield block[block != 0].tobytes().decode()
+        for column, text, slot in zip(columns, plain, slots):
+            if text is None:
+                text = column[0][column[1][start:stop]]
+            block[:, slot] = text.view(np.uint8).reshape(stop - start, -1)
+        yield block.tobytes().translate(None, b"\0").decode()
 
 
 def _render_csv(columns: list[str], data: list):

@@ -253,6 +253,13 @@ def mixed_fidelity(n: int, x0: float, width: float) -> float:
     grid, and a relative error that grows about linearly with n, 3e-14 at
     n = 200 and 1.3e-12 at n = 10^4 against u-grid quadrature.
     """
+    return _window_fidelity(n, x0, width)
+
+
+def _window_fidelity(n: int, x0: float, width: float, probability: float | None = None) -> float:
+    """mixed_fidelity, dividing by `probability` when it is given: the
+    window_probability(n, x0, width) that the caller has already computed,
+    which is then not integrated a second time."""
     lo, hi = _window(x0, width)
     radius = GateParams(n, x0).radius
     if 0.5 * width >= radius:
@@ -267,7 +274,7 @@ def mixed_fidelity(n: int, x0: float, width: float) -> float:
         return _overlap_sq(n, ys - x0, tp.p_plus, tp.theta0)
 
     numer = _adaptive_nodes(lo, hi, numerator)
-    denom = window_probability(n, x0, width)
+    denom = window_probability(n, x0, width) if probability is None else probability
     if denom < 1e-300:
         raise ZeroProbabilityError("window probability underflows; no outcomes accepted")
     return numer / denom

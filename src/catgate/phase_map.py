@@ -33,13 +33,16 @@ class DiskImage:
     tangency point (single branch) goes to upper. Both keep the order of
     their preimages in source. dropped counts samples with no image. source
     keeps the input samples in generation order, for plotting the preimage
-    next to its images.
+    next to its images, and preimage holds the rows of source that upper's
+    and lower's images come from: the gate keeps q, so upper's q is
+    source's q at preimage[0] and lower's at preimage[1].
     """
 
     upper: tuple[np.ndarray, np.ndarray] = field(repr=False)
     lower: tuple[np.ndarray, np.ndarray] = field(repr=False)
     dropped: int
     source: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    preimage: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
 
 def map_point(params: GateParams, q, p):
@@ -94,10 +97,11 @@ def map_disk(
         raise ValueError("need at least 8 samples")
     q, p = _disk_samples(center, radius, samples)
     count, p_lower, p_upper = map_point(params, q, p)
-    hit, two = count > 0, count == 2
+    hit, two = np.flatnonzero(count > 0), np.flatnonzero(count == 2)
     return DiskImage(
         upper=(q[hit], p_upper[hit]),
         lower=(q[two], p_lower[two]),
         dropped=int(np.count_nonzero(count == 0)),
         source=(q, p),
+        preimage=(hit, two),
     )

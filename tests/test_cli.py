@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -216,11 +217,26 @@ def test_unconverged_window_integral_exits_3(capsys, monkeypatch):
 
 def test_singular_window_exits_3(capsys):
     # P comes first, so at width 1e4, far wider than the density, it must converge
-    for n, width in (("5", "10"), ("1", "1e4")):
+    for n, width in (("5", "10"), ("1", "4"), ("1", "1e4")):
         assert main(["mixed-fidelity", "--n", n, "--d", width]) == 3
         err = capsys.readouterr().err
         assert "window half-width" in err
         assert not err.startswith("invalid configuration")
+
+
+def test_mixed_fidelity_integrates_each_window_probability_once(capsys, monkeypatch):
+    # F_mix divides by its row's P instead of integrating the window again
+    calls = []
+
+    def counted(n, x0, width):
+        calls.append((n, x0, width))
+        return window_probability(n, x0, width)
+
+    monkeypatch.setattr(catgate.metrics, "window_probability", counted)
+    assert main(["mixed-fidelity", "--n", "1,5,15", "--d", "0.1,0.5,1,2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert calls == [(n, 0.0, d) for n in (1, 5, 15) for d in (0.1, 0.5, 1.0, 2.0)]
+    assert len(rows) == len(calls)
 
 
 def test_run_accepts_prebuilt_config(capsys):
@@ -498,6 +514,45 @@ def test_json_streams_one_block_per_write(monkeypatch):
     row_counts = [text.count("[") for text in blocks]
     assert sum(row_counts) == len(json.loads("".join(spy.writes))["rows"]) == 33
     assert len(blocks) > 1 and max(row_counts) <= 7
+
+
+def _render_peak(argv: list[str]) -> int:
+    """Largest traced allocation while rendering the table of `argv`, the
+    handler's data made beforehand."""
+    parameters = vars(build_parser().parse_args(argv))
+    config = RunConfig(
+        command=parameters.pop("command"),
+        output_path=parameters.pop("out"),
+        format=parameters.pop("format"),
+        timings=parameters.pop("timings"),
+        parameters=parameters,
+    )
+    columns, data, metadata = catgate.cli._HANDLERS[config.command](parameters)
+    if config.format == "csv":
+        chunks = catgate.cli._render_csv(columns, data)
+    else:
+        chunks = catgate.cli._render_json(config, columns, data, metadata)
+    tracemalloc.start()
+    try:
+        for _ in chunks:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_render_memory_does_not_grow_with_the_table(fmt, monkeypatch):
+    # the render holds one block, not the table: 16 times the rows, about the
+    # same peak (about 0.5 MB), which moves only with a block's count of
+    # distinct values (at most 420 at 101^2, 467 at 401^2)
+    monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", 512)
+    peaks = []
+    for count in (101, 101, 401):  # the first run fills the formatter's caches
+        argv = ["wigner", "--n", "10", f"--x-range=-6:6:{count}", f"--p-range=-9:9:{count}",
+                "--format", fmt]
+        peaks.append(_render_peak(argv))
+    assert peaks[2] < 1.25 * peaks[1]
 
 
 def test_wigner_large_n_default_axes_keep_mass(capsys):

@@ -173,3 +173,24 @@ def test_map_disk_validation():
         map_disk(GateParams(1, 0.0), (0.0, 0.0), 0.0, 64)
     with pytest.raises(ValueError):
         map_disk(GateParams(1, 0.0), (0.0, 0.0), 1.0, 7)
+
+
+@pytest.mark.parametrize(
+    "params, center, samples",
+    [
+        # the center is a tangency point (one image) and the left half has none
+        (GateParams(0, 1.0), (0.0, 5.0), 9),
+        # the disk straddles the band edge q = 3
+        (GateParams(4, 0.0), (2.5, 0.5), 2000),
+    ],
+)
+def test_preimage_rows_give_each_image_its_q(params, center, samples):
+    disk = map_disk(params, center, 1.0, samples)
+    q, p = disk.source
+    upper, lower = disk.preimage
+    assert 0 < lower.size <= upper.size < q.size and disk.dropped > 0
+    assert np.all(np.diff(upper) > 0) and np.all(np.diff(lower) > 0)
+    assert np.array_equal(q[upper], disk.upper[0]) and np.array_equal(q[lower], disk.lower[0])
+    _, p_lower, p_upper = map_point(params, q, p)
+    assert np.array_equal(p_upper[upper], disk.upper[1])
+    assert np.array_equal(p_lower[lower], disk.lower[1])
