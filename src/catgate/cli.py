@@ -162,14 +162,13 @@ def _run_prob_density(p: dict):
 
 
 def _run_mixed_fidelity(p: dict):
-    from .metrics import _window_fidelity, window_probability
+    from .metrics import mixed_fidelity, window_probability
 
     n, d = _product(p["n"], p["d"])
     points = list(zip(n[0][n[1]].tolist(), d[0][d[1]].tolist()))
-    # P first: it checks every width before any F_mix can fail on one, and
-    # each F_mix divides by its row's P instead of integrating it again
+    # P first: it checks every width before any F_mix can fail on one
     prob = [window_probability(k, p["x0"], w) for k, w in points]
-    f_mix = [_window_fidelity(k, p["x0"], w, q) for (k, w), q in zip(points, prob)]
+    f_mix = [mixed_fidelity(k, p["x0"], w) for k, w in points]
     data = [n, np.full(len(points), p["x0"]), d, np.array(f_mix), np.array(prob)]
     return ["n", "x0", "d", "F_mix", "P"], data, {}
 

@@ -216,7 +216,7 @@ def test_unconverged_window_integral_exits_3(capsys, monkeypatch):
 
 
 def test_singular_window_exits_3(capsys):
-    # P comes first, so at width 1e4, far wider than the density, it must converge
+    # P comes first, a closed form, so width 1e4, far wider than the density, reaches F_mix
     for n, width in (("5", "10"), ("1", "4"), ("1", "1e4")):
         assert main(["mixed-fidelity", "--n", n, "--d", width]) == 3
         err = capsys.readouterr().err
@@ -224,19 +224,48 @@ def test_singular_window_exits_3(capsys):
         assert not err.startswith("invalid configuration")
 
 
-def test_mixed_fidelity_integrates_each_window_probability_once(capsys, monkeypatch):
-    # F_mix divides by its row's P instead of integrating the window again
+def test_mixed_fidelity_runs_one_adaptive_integral_per_row(capsys, monkeypatch):
+    # P is a closed form, so each row integrates only its F_mix numerator
     calls = []
+    adaptive_nodes = catgate.metrics._adaptive_nodes
 
-    def counted(n, x0, width):
-        calls.append((n, x0, width))
-        return window_probability(n, x0, width)
+    def counted(lo, hi, evaluate):
+        calls.append((lo, hi))
+        return adaptive_nodes(lo, hi, evaluate)
 
-    monkeypatch.setattr(catgate.metrics, "window_probability", counted)
+    monkeypatch.setattr(catgate.metrics, "_adaptive_nodes", counted)
     assert main(["mixed-fidelity", "--n", "1,5,15", "--d", "0.1,0.5,1,2"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
-    assert calls == [(n, 0.0, d) for n in (1, 5, 15) for d in (0.1, 0.5, 1.0, 2.0)]
+    assert calls == [(-0.5 * d, 0.5 * d) for n in (1, 5, 15) for d in (0.1, 0.5, 1.0, 2.0)]
     assert len(rows) == len(calls)
+
+
+def test_mixed_fidelity_far_center_prints_the_centred_row(capsys):
+    # P and F_mix depend on (n, width) alone, so x0 = 1e300 builds no grid around x0
+    assert main(["mixed-fidelity", "--n", "1", "--x0", "1e300", "--d", "1"]) == 0
+    far = capsys.readouterr().out.splitlines()[1].split(",")
+    assert main(["mixed-fidelity", "--n", "1", "--d", "1"]) == 0
+    centred = capsys.readouterr().out.splitlines()[1].split(",")
+    assert far[1] == "1.0000000000000001e+300"
+    assert far[3:] == centred[3:]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--x0", "nan", "coherent-state quadratures must be finite"),
+        ("--x0", "inf", "coherent-state quadratures must be finite"),
+        ("--ym", "inf", "homodyne outcome y_m must be finite"),
+        ("--ym", "nan", "homodyne outcome y_m must be finite"),
+    ],
+)
+def test_fidelity_scan_names_the_non_finite_input(flag, value, message, capsys):
+    # the inputs are checked before scan_grid, the same message as cat-fidelity's
+    for command in ("fidelity-scan", "cat-fidelity"):
+        assert main([command, "--n", "1", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid configuration: {message}\n"
+        assert captured.out == ""
 
 
 def test_run_accepts_prebuilt_config(capsys):

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from catgate.errors import ConvergenceError, SingularShearError, ZeroProbabilityError
-from catgate.gate import GateParams, exact_output, perfect_cat, semiclassical_output, taylor_phase
+from catgate.gate import (GateParams, _central_binomials, exact_output, perfect_cat,
+                          semiclassical_output, taylor_phase)
 from catgate.metrics import (
     _adaptive_nodes,
     _overlap_sq,
@@ -103,6 +107,15 @@ def test_cat_fidelity_frozen_displaced(x0, expected):
     np.testing.assert_allclose(fidelity_cat_scan(10, 0.0, x0), expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "y_m, expected",
+    # 40-digit quadrature of <cat|psi~> and P; P F_cat is below the double range
+    [(36.0, 9.2362035508890548e-95), (37.0, 8.558948679024006e-100)],
+)
+def test_cat_fidelity_far_outcome_does_not_underflow(y_m, expected):
+    np.testing.assert_allclose(fidelity_cat_scan(1, y_m, 0.0), expected, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("x0", [0.0, 3.0, 5.0, 123456.5, 1e9])
 @pytest.mark.parametrize("p0", [0.0, 3.0])
 def test_cat_fidelity_centered_invariance(x0, p0):
@@ -172,13 +185,51 @@ def test_window_probability_small_width_linear():
 
 @pytest.mark.parametrize("n, width", [(1, 1e4), (300, 1e300), (40, 1e4)])
 def test_window_probability_far_wider_than_density(n, width):
-    # the window is cut where the density has underflowed, so Simpson still resolves it
+    # P is a closed form, so a window far wider than the density is no harder
     assert abs(window_probability(n, 0.0, width) - 1.0) <= 1e-9
 
 
 def test_window_probability_wide_window_near_one():
     wide = window_probability(1, 0.0, 24.0)
     np.testing.assert_allclose(wide, 1.0, rtol=0, atol=1e-8)
+
+
+def _window_widths(n):
+    # from far inside the density's peak to past both turning points
+    r = np.sqrt(2.0 * n + 1.0)
+    return np.concatenate([[1e-3, 0.1, 1.0, 4.0], r * np.array([0.25, 0.5, 1.0, 1.5, 2.0, 3.0])])
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 15, 40, 200, 1000, 2000, 10_000])
+def test_window_probability_matches_incomplete_gamma(n):
+    # P = sum_j c_j c_{n-j} P(j + 1/2, t), t = width^2/8, with SciPy's regularized
+    # incomplete gamma; at n = 10^4 the log-space Poisson weights limit P to 5e-12
+    c = _central_binomials(n)
+    widths = _window_widths(n)
+    expected = [c * c[::-1] @ gammainc(np.arange(n + 1) + 0.5, w * w / 8.0) for w in widths]
+    got = [window_probability(n, 0.0, w) for w in widths]
+    np.testing.assert_allclose(got, expected, rtol=2e-12 if n <= 2000 else 1e-11, atol=0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 15, 40, 200])
+def test_window_probability_matches_fine_simpson(n):
+    for width in _window_widths(n):
+        grid = Grid1D(-0.5 * width, 0.5 * width, 20_001)
+        expected = outcome_density(n, 0.0, grid.xs) @ integration_weights(grid)
+        np.testing.assert_allclose(window_probability(n, 0.0, width), expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("width", [1e-300, 1e-3, 0.5, 1.0, 2.0, 7.5, 40.0, 1e300])
+def test_vacuum_window_probability_is_erf(width):
+    assert window_probability(0, 0.0, width) == math.erf(width / (2.0 * math.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("x0", [3.0, 123456.5, 1e9])
+@pytest.mark.parametrize("n, width", [(1, 0.1), (5, 1.0), (15, 2.0), (200, 1.0)])
+def test_window_averages_depend_on_width_alone(n, width, x0):
+    # both work in the offset y - x0, so a large x0 costs no digits
+    assert window_probability(n, x0, width) == window_probability(n, 0.0, width)
+    assert mixed_fidelity(n, x0, width) == mixed_fidelity(n, 0.0, width)
 
 
 def test_mixed_fidelity_frozen_sequence():
