@@ -125,9 +125,10 @@ def _run_wigner(p: dict):
 
     params = GateParams(p["n"], p["y_m"])
     inp = CoherentParams(p["x0"], p["p0"])
-    x_default, p_default = default_axes(params, inp)
-    x_axis = p["x_axis"] or x_default
-    p_axis = p["p_axis"] or p_default
+    x_axis, p_axis = p["x_axis"], p["p_axis"]
+    if x_axis is None or p_axis is None:
+        x_default, p_default = default_axes(params, inp)
+        x_axis, p_axis = x_axis or x_default, p_axis or p_default
 
     columns = ["x", "p"]
     grids = []

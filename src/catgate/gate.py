@@ -83,32 +83,47 @@ def outcome_norm(n: int, delta):
     c_k = C(2k,k)/4^k <= 1 times a Poisson probability formed in log space,
     so nothing overflows and M_n underflows to 0 only below the double
     range; against exact arithmetic it agrees to 4e-14 relative at n = 300
-    and delta = 40, and to 4e-13 at n = 2000 and delta = 60. Each offset's terms are summed along one
-    contiguous row, so a value does not depend on the other offsets passed
-    with it. Scalar or array input; a non-finite offset raises ValueError.
+    and delta = 40, and to 4e-13 at n = 2000 and delta = 60. An infinite
+    offset, one that overflowed, gives M_n = 0 like any offset past the
+    double range. Each offset's terms are summed along one contiguous row,
+    so a value does not depend on the other offsets passed with it. Scalar
+    or array input; a nan offset raises ValueError.
     """
     arr = np.atleast_1d(np.asarray(delta, dtype=float))
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("outcome offset y_m - x0 must be finite")
+    if np.any(np.isnan(arr)):
+        raise ValueError("outcome offset y_m - x0 must not be nan")
     pois = _poisson_weights(arr.ravel(), n)
     norm = np.add.reduce(pois[:, ::-1] * _central_binomials(n), axis=1)
     return norm.reshape(np.shape(delta)) if np.ndim(delta) else float(norm[0])
 
 
+def _require_density(density: float, y_m: float, x0: float | None = None) -> None:
+    """Refuse an outcome y_m without a conditional state.
+
+    The conditional state psi_in h_n(x - y_m)/sqrt(P) exists only where the
+    outcome density P is at least 1e-300; a smaller P, 0 where it is below
+    the double range or the offset overflowed, or a nan P, raises
+    ZeroProbabilityError, naming the coherent input's x0 when there is one.
+    Every caller passes P in its own frame before it samples anything.
+    """
+    if not density >= 1e-300:
+        given = "" if x0 is None else f" for input x0={x0}"
+        raise ZeroProbabilityError(
+            f"outcome y_m={y_m}{given} has density {density}; conditional state undefined"
+        )
+
+
 def exact_output(params: GateParams, state: WaveFunctionGrid) -> WaveFunctionGrid:
     """Normalized conditional output state for a given input.
 
-    Raises ZeroProbabilityError when the outcome lies so far in the tails
-    that the unnormalized state's norm, P(y_m) on the grid, is below 1e-300
-    and no conditional state can be formed.
+    Raises ZeroProbabilityError (see _require_density) when the outcome lies
+    so far in the tails that the unnormalized state's norm, P(y_m) on the
+    grid, is below 1e-300.
     """
     x = state.grid.xs
     unnorm = state.values * (1j ** params.n) * eval_hermite_fn(params.n, x - params.y_m)
     density = float(integrate(np.abs(unnorm) ** 2, state.grid).real)
-    if density < 1e-300:
-        raise ZeroProbabilityError(
-            f"outcome y_m={params.y_m} has density {density}; conditional state undefined"
-        )
+    _require_density(density, params.y_m)
     return WaveFunctionGrid(state.grid, unnorm / np.sqrt(density))
 
 

@@ -10,7 +10,10 @@ the generating-function coefficient e^{-Delta^2/2} [rho^n]
 e^{rho Delta^2/2} (1 - rho)^{-1/2} written as bounded terms, which
 outcome_density evaluates for scalar or array outcomes, with no grid (the
 tests check it against grid quadrature of |psi_in h_n|^2 and against
-exact rational arithmetic).
+exact rational arithmetic). Both fidelities refuse an outcome whose P is
+below 1e-300, where no conditional state exists, with
+ZeroProbabilityError (gate._require_density), and do so on that closed
+form before anything is sampled.
 The overlap of the conditional output with a cat built on the input's
 coherent envelope is a Hermite generating-function coefficient
 (_overlap_sq), given the cat's carrier wavenumber and phase. The cat
@@ -37,8 +40,8 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, SingularShearError, ZeroProbabilityError
-from .gate import (GateParams, _central_binomials, exact_output, outcome_norm,
-                   semiclassical_output, taylor_phase)
+from .gate import (GateParams, _central_binomials, _require_density, exact_output,
+                   outcome_norm, semiclassical_output, taylor_phase)
 from .numerics import _RESCALE_STEPS, Grid1D, _poisson_weights, _rescale, integration_weights
 from .states import CoherentParams, WaveFunctionGrid, coherent_wavefunction, overlap
 
@@ -65,18 +68,15 @@ def scan_grid(n: int, x0: float, y_m: float) -> Grid1D:
     max(4001, 2 ceil(half (2 sqrt(2n+1) + 12)/(2 pi)) + 1) points, so that
     Simpson resolves the fringes of the two-branch states, of spatial
     frequency up to 2 sqrt(2n+1) widened by the Gaussian envelope: 4001 up
-    to n = 2611 at y_m = x0, 4543 at n = 3000. Past an offset |y_m - x0|
-    of sqrt(2n+1) + 80 the count stops growing: the outcome density is
-    below 1e-300 from sqrt(2n+1) + 37 on, so every sample of the
-    conditional state underflows and exact_output raises
-    ZeroProbabilityError on any grid, which then costs no more memory than
-    at that offset.
+    to n = 2611 at y_m = x0, 4543 at n = 3000, and more points at every
+    larger offset. fidelity_scl_scan refuses an offset whose outcome
+    density is below 1e-300, from about sqrt(2n+1) + 37 on, before it asks
+    for a grid, so the grids it builds stay bounded.
     """
     c = 0.5 * (x0 + y_m)
     r = np.sqrt(2.0 * n + 1.0)
     half = 8.0 + r + 0.5 * abs(y_m - x0)
-    resolved = 8.0 + r + 0.5 * min(abs(y_m - x0), r + 80.0)
-    count = max(4001, 2 * math.ceil(resolved * (2.0 * r + 12.0) / (2.0 * math.pi)) + 1)
+    count = max(4001, 2 * math.ceil(half * (2.0 * r + 12.0) / (2.0 * math.pi)) + 1)
     return Grid1D(c - half, c + half, count)
 
 
@@ -108,10 +108,7 @@ def fidelity_cat_scan(n: int, y_m: float, x0: float, p0: float = 0.0) -> float:
     CoherentParams(x0, p0)  # checks the input, which F_cat does not depend on
     delta = y_m - x0
     dens = outcome_density(n, x0, y_m)
-    if dens < 1e-300:
-        raise ZeroProbabilityError(
-            f"outcome y_m={y_m} has density {dens}; conditional state undefined"
-        )
+    _require_density(dens, y_m, x0)
     # the overlap and P scaled by 2^shift and 4^shift, exactly, which brings
     # P into [1/2, 2): the squared overlap, P F_cat, does not underflow then
     shift = -(math.frexp(dens)[1] // 2)
@@ -124,11 +121,14 @@ def fidelity_scl_scan(n: int, y_m: float, x0: float, p0: float = 0.0) -> float:
 
     Both states are sampled on scan_grid in the frame x0' = -Delta/2,
     y_m' = Delta/2, Delta = y_m - x0, so that the result depends on
-    (n, Delta, p0) alone and does not lose digits to a large |x0|.
+    (n, Delta, p0) alone and does not lose digits to a large |x0|. An
+    outcome whose closed-form density is below 1e-300, an overflowed
+    Delta included, raises ZeroProbabilityError before any grid is built.
     """
     # check the inputs, so that a non-finite one is named before scan_grid sees it
     GateParams(n, y_m)
     CoherentParams(x0, p0)
+    _require_density(outcome_density(n, x0, y_m), y_m, x0)
     half = 0.5 * (y_m - x0)
     grid = scan_grid(n, -half, half)
     params = GateParams(n, half)
@@ -142,9 +142,15 @@ def outcome_density(n: int, x0: float, y_m):
 
     P = M_n / sqrt(2 pi) with M_n = gate.outcome_norm(n, y_m - x0), a sum of
     bounded Poisson terms; y_m is a scalar or an array. A density below the
-    double range comes out as 0, which is then the correctly rounded value.
+    double range comes out as 0, which is then the correctly rounded value,
+    and so does the density at an offset that overflows the double range.
+    A non-finite y_m or x0 raises ValueError.
     """
-    delta = np.asarray(y_m, dtype=float) - x0
+    y = np.asarray(y_m, dtype=float)
+    if not (math.isfinite(x0) and np.all(np.isfinite(y))):
+        raise ValueError("outcome y_m and input x0 must be finite")
+    with np.errstate(over="ignore"):
+        delta = y - x0
     dens = outcome_norm(n, delta) / np.sqrt(2.0 * np.pi)
     return dens if np.ndim(y_m) else float(dens)
 

@@ -9,6 +9,7 @@ into the exponent every _RESCALE_STEPS steps, exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -131,11 +132,23 @@ def _poisson_weights(t: np.ndarray, n: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         lam = np.minimum(0.5 * t * t, np.finfo(float).max)
     log_lam = np.log(lam, out=np.full(lam.shape, -np.inf), where=lam > 0.0)
-    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
     expo = np.zeros((lam.size, n + 1))
     expo[:, 1:] = log_lam[:, None] * np.arange(1.0, n + 1.0)
-    expo -= lam[:, None] + log_fact
+    expo -= lam[:, None] + _log_factorials(1 << int(n).bit_length())[: n + 1]
     return np.exp(expo)
+
+
+@functools.cache
+def _log_factorials(size: int) -> np.ndarray:
+    """log j! for j = 0..size-1, read-only and built once per size.
+
+    _poisson_weights asks for the power of two above n, so one row serves
+    every n up to it, and the rows held take at most four times the memory
+    of the longest one n asked for.
+    """
+    row = np.array([math.lgamma(j + 1.0) for j in range(size)])
+    row.flags.writeable = False
+    return row
 
 
 def integration_weights(grid: Grid1D) -> np.ndarray:

@@ -56,7 +56,9 @@ def map_point(params: GateParams, q, p):
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    disc = 2.0 * params.n + 1.0 - (params.y_m - q) ** 2
+    # an offset past the double range overflows to D = -inf: no image
+    with np.errstate(over="ignore"):
+        disc = 2.0 * params.n + 1.0 - (params.y_m - q) ** 2
     count = np.where(disc < -_TANGENT_TOL, 0, np.where(disc <= _TANGENT_TOL, 1, 2))
     kick = np.where(count == 2, np.sqrt(np.abs(disc)), np.where(count == 1, 0.0, np.nan))
     return count, p - kick, p + kick

@@ -37,8 +37,8 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import GridCoverageError, ZeroProbabilityError
-from .gate import GateParams, _central_binomials, exact_output, outcome_norm
+from .errors import GridCoverageError
+from .gate import GateParams, _central_binomials, _require_density, exact_output, outcome_norm
 from .numerics import Grid1D, _hermite_orders, _poisson_weights, integration_weights
 from .states import CatSuperposition, CoherentParams, WaveFunctionGrid, coherent_wavefunction
 
@@ -103,8 +103,12 @@ def default_axes(params: GateParams, inp: CoherentParams) -> tuple[Grid1D, Grid1
     pi/sqrt(2n+1), stay resolved, and x keeps at least that density over
     its span. At y_m = x0 both axes are centred with that count, and the
     Simpson mass is within 1e-7 of 1 from n = 10 up to at least n = 2000.
+    An outcome whose density M_n/sqrt(2 pi) is below 1e-300, an overflowed
+    offset included, has no output to frame and raises ZeroProbabilityError
+    before any axis is built.
     """
     d = params.y_m - inp.x0
+    _require_density(outcome_norm(params.n, d) / np.sqrt(2.0 * np.pi), params.y_m, inp.x0)
     r = params.radius
     count = max(201, 2 * math.ceil(36.0 * r / (2.0 * math.pi)) + 1)
     # distance from y_m of the x marginal's peak
@@ -129,16 +133,13 @@ def wigner_mehler(
     so nothing overflows. The Hermite rows come as mantissas and powers of
     two (numerics._hermite_orders); each x's rows share one exponent, which
     joins the x factor before the contraction, so no row underflows where
-    W does not, however far x lies from y_m. An outcome whose M_n is below
-    1e-300 has no conditional state and raises ZeroProbabilityError.
+    W does not, however far x lies from y_m. An outcome whose density
+    M_n/sqrt(2 pi) is below 1e-300 has no conditional state and raises
+    ZeroProbabilityError before anything is sampled.
     """
     n = params.n
     m_n = outcome_norm(n, params.y_m - inp.x0)
-    if m_n < 1e-300:
-        raise ZeroProbabilityError(
-            f"outcome y_m={params.y_m} has density {m_n / np.sqrt(2.0 * np.pi)} for "
-            f"input x0={inp.x0}; conditional state undefined"
-        )
+    _require_density(m_n / np.sqrt(2.0 * np.pi), params.y_m, inp.x0)
     x_t = x_axis.xs - params.y_m
     p_t = p_axis.xs - inp.p0
     scale = np.exp(-((x_axis.xs - inp.x0) ** 2)) * (np.pi**-0.75 / m_n)

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
@@ -599,6 +600,45 @@ def test_wigner_outcome_without_density_exits_3(capsys):
     captured = capsys.readouterr()
     assert "y_m=60.0" in captured.err and "conditional state undefined" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, outcome",
+    [
+        # named in the caller's frame, not in the shifted frame of scan_grid
+        (["fidelity-scan", "--n", "1", "--x0", "1e9"], "y_m=0.0 for input x0=1000000000.0"),
+        # refused on the density, before any default axis is built or used
+        (["wigner", "--n", "1", "--ym", "1e300", "--x-range=0:1:3", "--p-range=0:1:3"],
+         "y_m=1e+300 for input x0=0.0"),
+        (["wigner", "--n", "1", "--ym", "1e300"], "y_m=1e+300 for input x0=0.0"),
+    ]
+    # y_m - x0 overflows to -inf, where the density is 0
+    + [([command, "--n", "1", "--x0", "1e308", "--ym=-1e308"], "y_m=-1e+308 for input x0=1e+308")
+       for command in ("cat-fidelity", "fidelity-scan", "wigner")],
+)
+def test_outcome_without_density_is_refused_on_the_density(argv, outcome, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"outcome {outcome} has density 0.0; conditional state undefined\n"
+    assert captured.out == ""
+
+
+def test_density_at_overflowed_offset_is_zero(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["prob-density", "--n", "1", "--x0", "1e308", "--ym=-1e308"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["n,y_m,x0,P", "1,-1e+308,1e+308,0"]
+
+
+def test_scl_map_at_overflowed_offset_drops_every_sample(capsys):
+    argv = ["scl-map", "--n", "1", "--ym", "1e308", "--x0=-1e308", "--samples", "8"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows and all(row.startswith("source,-1e+308,") for row in rows)
 
 
 @pytest.mark.parametrize("y_m", [40, 60])

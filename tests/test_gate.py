@@ -7,12 +7,13 @@ from catgate.errors import PhaseDomainError, SingularShearError, ZeroProbability
 from catgate.gate import (
     GateParams,
     exact_output,
+    outcome_norm,
     perfect_cat,
     phase_function,
     semiclassical_output,
     taylor_phase,
 )
-from catgate.metrics import scan_grid
+from catgate.metrics import outcome_density, scan_grid
 from catgate.numerics import Grid1D, integrate
 from catgate.states import CoherentParams, coherent_wavefunction
 
@@ -88,6 +89,20 @@ def test_exact_output_rejects_vanishing_overlap():
     psi = coherent_wavefunction(CoherentParams(0.0, 0.0), grid)
     with pytest.raises(ZeroProbabilityError):
         exact_output(GateParams(2, 40.0), psi)
+
+
+def test_overflowed_offset_has_density_zero():
+    # y_m - x0 overflows to -inf, an offset past the double range like any
+    # other: M_n and P are 0, with no warning; a nan offset has no density
+    assert outcome_norm(3, np.inf) == outcome_norm(3, -np.inf) == 0.0
+    with pytest.raises(ValueError, match="must not be nan"):
+        outcome_norm(3, np.nan)
+    assert outcome_density(1, 1e308, -1e308) == 0.0
+    centred = outcome_density(1, 0.0, 0.0)
+    np.testing.assert_array_equal(outcome_density(1, 1e308, [-1e308, 1e308]), [0.0, centred])
+    for x0, y_m in ((0.0, np.inf), (np.nan, 0.0), (0.0, [0.0, np.nan])):
+        with pytest.raises(ValueError, match="y_m and input x0 must be finite"):
+            outcome_density(1, x0, y_m)
 
 
 def test_semiclassical_output_constant_tail_ratio():

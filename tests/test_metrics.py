@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
+import catgate.metrics
 from catgate.errors import ConvergenceError, SingularShearError, ZeroProbabilityError
 from catgate.gate import (GateParams, _central_binomials, exact_output, perfect_cat,
                           semiclassical_output, taylor_phase)
@@ -74,12 +75,17 @@ def test_cat_fidelity_matches_refined_grid(n, x0):
     assert abs(fidelity_cat_scan(n, 0.0, x0) - expected) <= 1e-14
 
 
-def test_far_offset_grid_stays_small():
-    # the conditional state underflows from |y_m - x0| = sqrt(2n+1) + 37 on,
-    # so a far outcome must not cost a grid that grows with the offset
-    for n in (1, 300, 3000):
-        assert scan_grid(n, 0.0, 1e9).count == scan_grid(n, 0.0, 200.0).count
-    assert scan_grid(1, 0.0, 1e9).count == 4001
+def test_far_offset_grid_stays_small(monkeypatch):
+    # the grid resolves the fringes at every offset, so it grows with a far
+    # one (its samples, gigabytes here, are never formed); the scans refuse
+    # an outcome without a conditional state on its closed-form density,
+    # before they ask for a grid
+    assert scan_grid(1, 0.0, 1e9).count > 1000 * scan_grid(1, 0.0, 200.0).count
+
+    def no_grid(*args):
+        raise AssertionError("scan_grid called for an outcome without a conditional state")
+
+    monkeypatch.setattr(catgate.metrics, "scan_grid", no_grid)
     for scan in (fidelity_cat_scan, fidelity_scl_scan):
         with pytest.raises(ZeroProbabilityError, match="has density 0.0;"):
             scan(1, 0.0, 1e9)

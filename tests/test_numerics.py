@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.special import binom, eval_hermite
 
+from catgate import numerics
 from catgate.gate import _central_binomials
 from catgate.metrics import scan_grid
 from catgate.numerics import (
@@ -126,3 +127,21 @@ def test_inv_sqrt_series_central_binomials():
     got = _central_binomials(6)
     expected = [binom(2 * k, k) / 4.0**k for k in range(7)]
     np.testing.assert_allclose(got, expected, rtol=1e-13)
+
+
+def test_log_factorials_are_built_once_per_n(monkeypatch):
+    # a second call at the same n makes no lgamma call, and its weights are
+    # the first call's bit for bit
+    lgamma, calls = math.lgamma, []
+    monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
+    numerics._log_factorials.cache_clear()
+    t = np.array([0.0, 0.5, 3.0, 40.0, 1e200])
+    first = numerics._poisson_weights(t, 200)
+    assert calls
+    calls.clear()
+    second = numerics._poisson_weights(t, 200)
+    assert calls == []
+    assert second.tobytes() == first.tobytes()
+    row = numerics._log_factorials(256)
+    assert not row.flags.writeable
+    assert row[:201].tolist() == [lgamma(j + 1.0) for j in range(201)]

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import binom, factorial, genlaguerre
 
-from catgate.errors import GridCoverageError
+from catgate.errors import GridCoverageError, ZeroProbabilityError
 from catgate.gate import GateParams, outcome_norm, perfect_cat
-from catgate.metrics import outcome_density
+from catgate.metrics import fidelity_cat_scan, outcome_density
 from catgate.numerics import Grid1D, integration_weights
 from catgate.states import CoherentParams, assemble_cat, coherent_wavefunction, fock_wavefunction
 from catgate.wigner import (
@@ -148,6 +148,38 @@ def test_rates_past_the_double_range_give_zero_weights():
     near = wigner_mehler(params, inp, axis, axis).values
     np.testing.assert_array_equal(far[:, [0, 2]], 0.0)
     np.testing.assert_array_equal(far[:, 1], near[:, 1])
+
+
+def _density_threshold(n: int) -> tuple[float, float]:
+    """Adjacent doubles lo < hi with outcome densities P(lo) >= 1e-300 > P(hi)
+    at x0 = 0, found by bisection."""
+    lo, hi = 0.0, 1e3
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if outcome_density(n, 0.0, mid) >= 1e-300:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@pytest.mark.parametrize("n", [1, 300])
+def test_refusal_band_is_the_same_everywhere(n):
+    # one rule, P < 1e-300, on the density itself: the Wigner map, its default
+    # axes and the cat fidelity all keep the last outcome below the threshold
+    # and all refuse the next double
+    lo, hi = _density_threshold(n)
+    inp, axis = CoherentParams(0.0, 0.0), Grid1D(-1.0, 1.0, 3)
+    default_axes(GateParams(n, lo), inp)
+    wigner_mehler(GateParams(n, lo), inp, axis, axis)
+    fidelity_cat_scan(n, lo, 0.0)
+    refusals = (
+        lambda: default_axes(GateParams(n, hi), inp),
+        lambda: wigner_mehler(GateParams(n, hi), inp, axis, axis),
+        lambda: fidelity_cat_scan(n, hi, 0.0),
+    )
+    for refused in refusals:
+        with pytest.raises(ZeroProbabilityError, match="conditional state undefined"):
+            refused()
 
 
 @pytest.mark.parametrize("n, count", [(300, 283), (600, 399), (1000, 515), (2000, 727)])
