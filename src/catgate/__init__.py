@@ -8,87 +8,38 @@ homodyne outcome statistics, phase-space (Wigner) maps through a fast
 generating-function engine, and the semiclassical branch mapping, with a
 deterministic CLI on top.
 
-Every public name below is importable from the package itself, but its
-submodule is imported on first access (PEP 562), so `import catgate` or
-`import catgate.cli` loads only what a caller goes on to use.
+The public names are those in the `__all__` of the modules in _MODULES,
+and each is importable from the package itself. `import catgate` or
+`import catgate.cli` loads none of those modules; the first access to a
+public name, to `catgate.__all__` or to `dir(catgate)` imports them all
+and binds their names here (PEP 562).
 """
 
+import functools
 import importlib
 
 __version__ = "0.1.0"
 
-# Each public name and the submodule that defines it.
-_EXPORTS = {
-    name: module
-    for module, names in {
-        "errors": (
-            "CatGateError",
-            "ConvergenceError",
-            "GridCoverageError",
-            "PhaseDomainError",
-            "SingularShearError",
-            "ZeroProbabilityError",
-            "ZeroStateError",
-        ),
-        "gate": (
-            "GateParams",
-            "TaylorPhase",
-            "exact_output",
-            "outcome_norm",
-            "perfect_cat",
-            "phase_function",
-            "semiclassical_output",
-            "taylor_phase",
-        ),
-        "metrics": (
-            "fidelity",
-            "fidelity_cat_scan",
-            "fidelity_scl_scan",
-            "mixed_fidelity",
-            "outcome_density",
-            "scan_grid",
-            "window_probability",
-        ),
-        "numerics": (
-            "Grid1D",
-            "eval_hermite_fn",
-            "integrate",
-            "integration_weights",
-        ),
-        "phase_map": ("DiskImage", "map_disk", "map_point"),
-        "states": (
-            "CatSuperposition",
-            "CoherentParams",
-            "WaveFunctionGrid",
-            "assemble_cat",
-            "coherent_wavefunction",
-            "fock_wavefunction",
-            "overlap",
-        ),
-        "wigner": (
-            "WignerGrid",
-            "aligned_state_grid",
-            "default_axes",
-            "wigner_cat_reference",
-            "wigner_mehler",
-            "wigner_output_quadrature",
-            "wigner_quadrature",
-        ),
-    }.items()
-    for name in names
-}
+_MODULES = ("errors", "gate", "metrics", "numerics", "phase_map", "states", "wigner")
 
-__all__ = [*_EXPORTS, "__version__"]
+
+@functools.cache
+def _bind() -> None:
+    """Import _MODULES and bind each name of their __all__ here, and __all__,
+    which lists a name once per module that declares it."""
+    modules = [importlib.import_module(f"{__name__}.{m}") for m in _MODULES]
+    public = [(name, getattr(m, name)) for m in modules for name in m.__all__]
+    globals().update(public, __all__=[name for name, _ in public] + ["__version__"])
 
 
 def __getattr__(name: str):
-    """Import the submodule that defines `name`, and keep the name bound here."""
-    if name not in _EXPORTS:
+    """A public name, bound with all the others on first access."""
+    _bind()
+    if name not in globals():
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
-    globals()[name] = value
-    return value
+    return globals()[name]
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+    _bind()
+    return sorted(globals())

@@ -107,9 +107,9 @@ def _product(outer, inner) -> tuple[tuple, tuple]:
 def _run_fidelity_scan(p: dict, column: str):
     """F_scl or F_cat over every (x0, n), n varying fastest; cat-fidelity
     alone has --ym-equals-x0, which takes each row's outcome equal to its x0."""
-    from . import metrics
+    from .metrics import fidelity_cat_scan, fidelity_scl_scan
 
-    scan = metrics.fidelity_cat_scan if column == "F_cat" else metrics.fidelity_scl_scan
+    scan = fidelity_cat_scan if column == "F_cat" else fidelity_scl_scan
     x0, n = _product(p["x0"], p["n"])
     xs, ks = x0[0][x0[1]], n[0][n[1]]
     y_m = xs if p.get("ym_equals_x0") else np.full(xs.size, p["y_m"])

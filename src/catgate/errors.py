@@ -4,6 +4,16 @@ Numerical-failure exceptions all derive from CatGateError so callers (and the
 command line driver) can distinguish them from programming errors.
 """
 
+__all__ = [
+    "CatGateError",
+    "ConvergenceError",
+    "GridCoverageError",
+    "PhaseDomainError",
+    "SingularShearError",
+    "ZeroProbabilityError",
+    "ZeroStateError",
+]
+
 
 class CatGateError(Exception):
     """Base class for runtime failures of the simulation routines."""

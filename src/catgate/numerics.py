@@ -35,7 +35,8 @@ _MIN_BINEXP = -(2.0**30)
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform sampling grid on [x_min, x_max] with `count` points inclusive."""
+    """Uniform sampling grid on [x_min, x_max] with `count` points inclusive,
+    all distinct doubles."""
 
     x_min: float
     x_max: float
@@ -44,10 +45,18 @@ class Grid1D:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
             raise ValueError("grid bounds must be finite")
-        if not self.x_max > self.x_min:
+        if self.x_max < self.x_min:
             raise ValueError(f"empty grid: x_max={self.x_max} must exceed x_min={self.x_min}")
         if self.count < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.count}")
+        # points 2 ulp of the larger bound apart stay distinct; closer ones are checked
+        magnitude = max(abs(self.x_min), abs(self.x_max))
+        ulp = math.ulp(magnitude)
+        if self.spacing < 2.0 * ulp and not np.all(np.diff(self.xs) > 0):
+            raise ValueError(
+                f"grid spacing {self.spacing:.3g} is too fine at |x| = {magnitude:.3g}, where "
+                f"doubles are {ulp:.3g} apart, so its points would not be distinct"
+            )
 
     @property
     def spacing(self) -> float:

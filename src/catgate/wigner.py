@@ -57,6 +57,9 @@ _EDGE_TOL = 1e-12
 # z-step of the oracle; first Simpson alias then sits far above the
 # p-bandwidths occurring here
 _ORACLE_SPACING = 0.02
+# most x-axis points times state-grid points the oracle may request: its
+# correlation matrix then takes at most 80 MB
+_ORACLE_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,8 @@ def default_axes(params: GateParams, inp: CoherentParams) -> tuple[Grid1D, Grid1
     reach = abs(d) if abs(d) <= r else 0.5 * (abs(d) + r * r / abs(d))
     near = params.y_m - math.copysign(reach + 6.0, d)
     ends = sorted((near, params.y_m - 0.5 * d + math.copysign(6.0, d)))
-    x_count = 2 * math.ceil((count - 1) * (ends[1] - ends[0]) / 24.0) + 1
+    # the span is at least 12, so x_count >= count even where the ends round together
+    x_count = max(count, 2 * math.ceil((count - 1) * (ends[1] - ends[0]) / 24.0) + 1)
     return (
         Grid1D(ends[0], ends[1], x_count),
         Grid1D(inp.p0 - r - 4.0, inp.p0 + r + 4.0, count),
@@ -199,16 +203,20 @@ def wigner_quadrature(state: WaveFunctionGrid, x_axis: Grid1D, p_axis: Grid1D) -
 def aligned_state_grid(x_axis: Grid1D, lo: float, hi: float) -> Grid1D:
     """State grid for wigner_quadrature: an integer refinement of x_axis, no
     coarser than _ORACLE_SPACING, extended to cover at least [lo, hi], so the
-    requested samples stay exact grid points of the state."""
+    requested samples stay exact grid points of the state. A grid whose
+    count times the axis count exceeds _ORACLE_BUDGET raises
+    GridCoverageError before anything is allocated."""
     refine = max(1, int(np.ceil(x_axis.spacing / _ORACLE_SPACING - 1e-12)))
     h = x_axis.spacing / refine
     m_lo = max(0, int(np.ceil((x_axis.x_min - lo) / h)))
     m_hi = max(0, int(np.ceil((hi - x_axis.x_max) / h)))
-    return Grid1D(
-        x_axis.x_min - m_lo * h,
-        x_axis.x_max + m_hi * h,
-        (x_axis.count - 1) * refine + m_lo + m_hi + 1,
-    )
+    count = (x_axis.count - 1) * refine + m_lo + m_hi + 1
+    if x_axis.count * count > _ORACLE_BUDGET:
+        raise GridCoverageError(
+            f"quadrature oracle needs {count} state-grid points for {x_axis.count} axis "
+            f"points, over its budget of {_ORACLE_BUDGET} for their product"
+        )
+    return Grid1D(x_axis.x_min - m_lo * h, x_axis.x_max + m_hi * h, count)
 
 
 def wigner_output_quadrature(

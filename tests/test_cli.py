@@ -190,6 +190,9 @@ def test_malformed_n_exits_2(capsys):
          "catgate wigner: error: argument --p-range: expects min:max:count"),
         (["wigner", "--n", "1", "--x-range=0:5:1"],
          "catgate wigner: error: argument --x-range: grid needs at least 2 points, got 1"),
+        (["prob-density", "--n", "1", "--x-range=1e15:1.00000000000001e15:201"],
+         "catgate prob-density: error: argument --x-range: grid spacing 0.05 is too fine at "
+         "|x| = 1e+15, where doubles are 0.125 apart, so its points would not be distinct"),
     ],
 )
 def test_bad_flag_value_names_the_flag_once(capsys, argv, line):
@@ -622,6 +625,43 @@ def test_outcome_without_density_is_refused_on_the_density(argv, outcome, capsys
         assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.err == f"outcome {outcome} has density 0.0; conditional state undefined\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, spacing, magnitude, ulp",
+    [
+        # default axes 0.06 and 0.05 apart where doubles are 0.125 apart
+        (["wigner", "--n", "1", "--ym", "1e15", "--x0", "1e15"], "0.06", "1e+15", "0.125"),
+        (["prob-density", "--n", "1", "--x0", "1e15"], "0.05", "1e+15", "0.125"),
+        # x0 -/+ 6 round to one double
+        (["wigner", "--n", "1", "--ym", "1e17", "--x0", "1e17"], "0", "1e+17", "16"),
+    ],
+)
+def test_default_axis_of_indistinct_points_exits_2(argv, spacing, magnitude, ulp, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"invalid configuration: grid spacing {spacing} is too fine at |x| = {magnitude}, "
+        f"where doubles are {ulp} apart, so its points would not be distinct\n")
+    assert captured.out == ""
+
+
+def test_default_density_axis_far_out_keeps_distinct_outcomes(capsys):
+    assert main(["prob-density", "--n", "1", "--x0", "1e9"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len({row.split(",")[1] for row in rows}) == len(rows) == 201
+
+
+def test_quadrature_oracle_over_budget_exits_3(capsys):
+    # the state grid would run from the axis to x0 - 9 = 1e17 - 9 at 0.02 spacing
+    argv = ["wigner", "--n", "1", "--ym", "1e17", "--x0", "1e17", "--engine", "quadrature",
+            "--x-range=-1:1:3", "--p-range=0:1:3"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "quadrature oracle needs 5000000000000001125 state-grid points for 3 axis points, "
+        "over its budget of 5000000 for their product\n")
     assert captured.out == ""
 
 

@@ -30,7 +30,8 @@ def test_grid_basics():
 
 @pytest.mark.parametrize(
     "x_min, x_max, count",
-    [(1.0, 0.0, 5), (0.0, 0.0, 5), (0.0, 1.0, 1), (0.0, np.inf, 5)],
+    # doubles are 16 apart around 1e17, so points 8 apart round onto each other
+    [(1.0, 0.0, 5), (0.0, 0.0, 5), (0.0, 1.0, 1), (0.0, np.inf, 5), (1e17 - 64, 1e17 + 64, 17)],
 )
 def test_grid_rejects_bad_input(x_min, x_max, count):
     with pytest.raises(ValueError):

@@ -42,11 +42,21 @@ def test_cli_import_loads_only_errors_and_numerics():
 
 
 def test_command_loads_only_what_it_computes_with():
+    # a handler that reached a module as an attribute of the package would
+    # load every public module, and fail this
     run = "import contextlib, io\nfrom catgate.cli import main\n"
     run += "with contextlib.redirect_stdout(io.StringIO()):\n    assert main({}) == 0"
-    density = _loaded(run.format(["prob-density", "--n", "1", "--ym", "0"]))
-    assert {"catgate.metrics", "catgate.gate", "catgate.states"} <= density
-    assert not density & {"catgate.wigner", "catgate.phase_map", "json"}
+    common = {"catgate", "catgate.cli", "catgate.errors", "catgate.numerics", "catgate.gate",
+              "catgate.states"}
+    for argv, module in [
+        (["fidelity-scan", "--n", "1"], "metrics"),
+        (["cat-fidelity", "--n", "1"], "metrics"),
+        (["prob-density", "--n", "1", "--ym", "0"], "metrics"),
+        (["mixed-fidelity", "--n", "1", "--d", "0.1"], "metrics"),
+        (["wigner", "--n", "1", "--x-range=-1:1:3", "--p-range=-1:1:3"], "wigner"),
+        (["scl-map", "--n", "1", "--samples", "8"], "phase_map"),
+    ]:
+        assert _loaded(run.format(argv)) == common | {f"catgate.{module}"}, argv
     assert "json" in _loaded(run.format(["prob-density", "--n", "1", "--ym", "0", "--format",
                                          "json"]))
 
@@ -69,11 +79,28 @@ def test_public_names_resolve_on_first_access():
     child = _python(PUBLIC_NAMES)
     assert child.returncode == 0, child.stderr.decode()
     assert child.stdout.decode().splitlines() == [
-        "[]",  # nothing but the version and the name table is needed at import
+        "[]",  # import binds only the version and the list of public modules
         "[]",
         "[]",
         "module 'catgate' has no attribute 'no_such_name'",
     ]
+
+
+STAR = """
+before = set(globals())
+from catgate import *
+bound = set(globals()) - before - {"before"}
+import catgate
+print(*sorted(bound))
+print(*sorted(catgate.__all__))
+"""
+
+
+def test_star_import_binds_exactly_the_public_names():
+    child = _python(STAR)
+    assert child.returncode == 0, child.stderr.decode()
+    bound, public = child.stdout.decode().splitlines()
+    assert bound == public and "wigner_mehler" in bound.split()
 
 
 # Runs main twice, to stdout and then to the file given first, with a

@@ -81,6 +81,14 @@ def test_aligned_state_grid_contains_axis():
     np.testing.assert_allclose(sg.x_min + idx * sg.spacing, xa.xs, rtol=0, atol=1e-12)
 
 
+def test_aligned_state_grid_refuses_over_budget_before_allocating():
+    # x0 = 1e4: 401 axis points times a 667,668-point grid at 0.015 spacing, whose
+    # correlation matrix would take 4.3 GB
+    with pytest.raises(GridCoverageError,
+                       match="needs 667668 state-grid points for 401 axis points"):
+        aligned_state_grid(Grid1D(-6.0, 6.0, 401), 1e4 - 9.0, 1e4 + 9.0)
+
+
 def test_mehler_n0_is_shifted_gaussian():
     params = GateParams(0, 2.0)
     inp = CoherentParams(0.0, 1.0)
