@@ -6,11 +6,10 @@ Rows are formatted and written in blocks, and the renderer holds one
 block at a time: no array is as long as the table besides the handler's
 data. A column of that data is either plain, an array of its numbers, or
 factored, its distinct values and each row's index into them; a factored
-column's values are formatted once per table, a plain column's once per
-block after dropping the block's repeats. Identical invocations produce
-byte-identical files; timing metadata is opt-in for that reason. Exit
-status is 0 on success, 2 for an invalid configuration, 3 when the
-numerics refuse the requested point.
+column's values are formatted once per table, a plain column's cells with
+their block. Identical invocations produce byte-identical files; timing
+metadata is opt-in for that reason. Exit status is 0 on success, 2 for an
+invalid configuration, 3 when the numerics refuse the requested point.
 Each command imports the modules it computes with when it runs, and json
 is imported only for JSON output, so that `import catgate.cli` loads no
 more of the package than catgate.errors and catgate.numerics.
@@ -205,8 +204,8 @@ _HANDLERS = {
 }
 
 
-# Rows per written block, and per slice of distinct values formatted at once.
-_BLOCK_ROWS = 1 << 14
+# Rows per written block, and most values formatted at once.
+_BLOCK_ROWS = 1 << 13
 # Bytes of the widest %.17g of a double, e.g. -2.2250738585072014e-308.
 _NUMBER_WIDTH = 24
 # Columns of the per-value source row that a cell is gathered from: the 17
@@ -338,6 +337,8 @@ def _g17_cells(values: np.ndarray) -> np.ndarray:
         zeros += (zeros == 4 * (3 - i)) * trailing[groups[:, i]]
     form = np.where((x >= -4) & (x < 17), x + 4, np.where(abs(x) < 100, 21, 22))
     code = ((v < 0) * 17 + 16 - zeros) * _FORMS + form
+    # the gather below is the peak: let go of what it does not read
+    del magnitude, integer, x, groups, zeros, form
     present = np.flatnonzero(np.bincount(code))
     layouts = np.zeros((present[-1] + 1, _NUMBER_WIDTH), dtype=np.intp)
     layouts[present] = [_layout(c) for c in present.tolist()]
@@ -357,14 +358,6 @@ def _number_cells(values: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _block_cells(column: np.ndarray) -> np.ndarray:
-    """The cells of one block of a plain number column. Its numbers are told
-    apart by their bit pattern, so -0.0 and 0.0 keep their own text, and
-    each distinct one is formatted once."""
-    keys, index = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
-    return _g17_cells(keys.view(column.dtype))[index]
-
-
 def _row_blocks(data: list, quote, lead: bytes, end: bytes):
     """The rows as text, _BLOCK_ROWS at a time: each row is `lead`, its
     cells joined by commas, then `end`.
@@ -373,7 +366,7 @@ def _row_blocks(data: list, quote, lead: bytes, end: bytes):
     values and each row's index into them. A factored column's values are
     formatted once, numbers by _number_cells and labels (a list) by `quote`,
     and each block gathers its cells from them; a plain column's cells are
-    made per block by _block_cells. The text is %.17g's byte for byte, from
+    made per block by _g17_cells. The text is %.17g's byte for byte, from
     digits computed exactly enough to decide their rounding, with
     b"%.17g" % v for the values where they cannot (see _decimal_digits).
 
@@ -407,7 +400,7 @@ def _row_blocks(data: list, quote, lead: bytes, end: bytes):
     rows = first[1].size if isinstance(first, tuple) else first.size
     for start in range(0, rows, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, rows)
-        plain = [None if isinstance(c, tuple) else _block_cells(c[start:stop]) for c in columns]
+        plain = [None if isinstance(c, tuple) else _g17_cells(c[start:stop]) for c in columns]
         block = np.tile(row, (stop - start, 1))
         for column, text, slot in zip(columns, plain, slots):
             if text is None:

@@ -120,10 +120,12 @@ def fidelity_scl_scan(n: int, y_m: float, x0: float, p0: float = 0.0) -> float:
     """Fidelity between the exact gate output and its semiclassical form.
 
     Both states are sampled on scan_grid in the frame x0' = -Delta/2,
-    y_m' = Delta/2, Delta = y_m - x0, so that the result depends on
-    (n, Delta, p0) alone and does not lose digits to a large |x0|. An
-    outcome whose closed-form density is below 1e-300, an overflowed
-    Delta included, raises ZeroProbabilityError before any grid is built.
+    y_m' = Delta/2, p0' = 0, Delta = y_m - x0: the input's phase
+    e^{i p0 (x - x0/2)} multiplies both states alike and cancels from the
+    fidelity, so the result depends on (n, Delta) alone, bit for bit, and
+    does not lose digits to a large |x0| or |p0|. An outcome whose
+    closed-form density is below 1e-300, an overflowed Delta included,
+    raises ZeroProbabilityError before any grid is built.
     """
     # check the inputs, so that a non-finite one is named before scan_grid sees it
     GateParams(n, y_m)
@@ -132,7 +134,7 @@ def fidelity_scl_scan(n: int, y_m: float, x0: float, p0: float = 0.0) -> float:
     half = 0.5 * (y_m - x0)
     grid = scan_grid(n, -half, half)
     params = GateParams(n, half)
-    psi_in = coherent_wavefunction(CoherentParams(-half, p0), grid)
+    psi_in = coherent_wavefunction(CoherentParams(-half), grid)
     out = exact_output(params, psi_in)
     return fidelity(out, semiclassical_output(params, psi_in))
 

@@ -22,6 +22,8 @@ __all__ = [
 
 # discriminant magnitude treated as an exact tangency (single branch)
 _TANGENT_TOL = 1e-12
+# most lattice points map_disk builds: q and p then take 80 MB
+_MAX_SAMPLES = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -87,9 +89,11 @@ def map_disk(
 ) -> DiskImage:
     """Map a sampled uncertainty disk centred at (q, p) through the gate.
 
-    samples is the approximate total lattice size (at least 8); the exact
-    count for a given argument is fixed, so repeated calls are
-    reproducible point for point.
+    samples is the approximate total lattice size (at least 8, at most
+    _MAX_SAMPLES, checked before anything is allocated); the exact count
+    for a given argument is fixed, so repeated calls are reproducible
+    point for point. A disk whose lattice points are not all finite
+    doubles raises ValueError.
     """
     if not (np.all(np.isfinite(center)) and np.isfinite(radius)):
         raise ValueError("disk center and radius must be finite")
@@ -97,7 +101,13 @@ def map_disk(
         raise ValueError("disk radius must be positive")
     if samples < 8:
         raise ValueError("need at least 8 samples")
-    q, p = _disk_samples(center, radius, samples)
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"{samples} samples exceed the lattice budget of {_MAX_SAMPLES}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, p = _disk_samples(center, radius, samples)
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        raise ValueError(f"disk of radius {radius} about {tuple(center)} has lattice "
+                         "points beyond the double range")
     count, p_lower, p_upper = map_point(params, q, p)
     hit, two = np.flatnonzero(count > 0), np.flatnonzero(count == 2)
     return DiskImage(

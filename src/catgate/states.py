@@ -91,15 +91,19 @@ class CatSuperposition:
     def __post_init__(self) -> None:
         if self.parity_sign not in (-1, 1):
             raise ValueError("parity_sign must be +1 or -1")
-        cross = self.parity_sign * np.exp(-2j * self.phase_theta) * _coherent_overlap(
-            self.alpha_plus, self.alpha_minus
+        cross = self.parity_sign * np.exp(
+            -2j * self.phase_theta + _overlap_exponent(self.alpha_plus, self.alpha_minus)
         )
         object.__setattr__(self, "norm_factor", float(2.0 + 2.0 * cross.real))
 
 
-def _coherent_overlap(alpha: complex, beta: complex) -> complex:
-    """<alpha|beta> = exp(-|alpha|^2/2 - |beta|^2/2 + conj(alpha) beta)."""
-    return np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * abs(beta) ** 2 + np.conj(alpha) * beta)
+def _overlap_exponent(alpha: complex, beta: complex) -> complex:
+    """log <alpha|beta> = -|alpha - beta|^2/2 + i Im(conj(alpha) beta).
+
+    This form does not cancel: -|alpha|^2/2 - |beta|^2/2 + conj(alpha) beta
+    is the same number, but its real part loses every digit once |alpha|^2
+    is 1e16 times |alpha - beta|^2."""
+    return -0.5 * abs(alpha - beta) ** 2 + 1j * (np.conj(alpha) * beta).imag
 
 
 def coherent_wavefunction(params: CoherentParams, grid: Grid1D) -> WaveFunctionGrid:

@@ -40,7 +40,8 @@ import numpy as np
 from .errors import GridCoverageError
 from .gate import GateParams, _central_binomials, _require_density, exact_output, outcome_norm
 from .numerics import Grid1D, _hermite_orders, _poisson_weights, integration_weights
-from .states import CatSuperposition, CoherentParams, WaveFunctionGrid, coherent_wavefunction
+from .states import (CatSuperposition, CoherentParams, WaveFunctionGrid, _overlap_exponent,
+                     coherent_wavefunction)
 
 __all__ = [
     "WignerGrid",
@@ -241,8 +242,9 @@ def wigner_cat_reference(cat: CatSuperposition, x_axis: Grid1D, p_axis: Grid1D) 
         W = sum_{j,l} a_j conj(a_l) <alpha_l|alpha_j>
             e^{-2 conj(g - alpha_l) (g - alpha_j)} / (pi N),
 
-    <alpha_l|alpha_j> = e^{-|alpha_j - alpha_l|^2/2 + i Im(conj(alpha_l) alpha_j)}.
-    Its exponent joins the Gaussian's, and their sum has real part
+    <alpha_l|alpha_j> = e^{-|alpha_j - alpha_l|^2/2 + i Im(conj(alpha_l) alpha_j)},
+    from states._overlap_exponent, which N takes its cross term from too. Its
+    exponent joins the Gaussian's, and their sum has real part
     -2 |g - (alpha_j + alpha_l)/2|^2, so no factor overflows however far
     apart the components are. No state is sampled and nothing is integrated.
     """
@@ -253,8 +255,7 @@ def wigner_cat_reference(cat: CatSuperposition, x_axis: Grid1D, p_axis: Grid1D) 
     )
     values = sum(
         a * np.conj(b) * np.exp(
-            -2.0 * np.conj(g - beta) * (g - alpha)
-            - 0.5 * abs(alpha - beta) ** 2 + 1j * (np.conj(beta) * alpha).imag
+            -2.0 * np.conj(g - beta) * (g - alpha) + _overlap_exponent(beta, alpha)
         )
         for a, alpha in terms
         for b, beta in terms

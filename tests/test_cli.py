@@ -309,6 +309,7 @@ def test_parser_rejects_bad_axis_spec():
         ["scl-map", "--n", "4", "--samples", "7"],
         ["scl-map", "--n", "4", "--radius", "0"],
         ["mixed-fidelity", "--n", "1", "--d", "0,1"],
+        ["scl-map", "--n", "1", "--samples", "8", "--radius", "1e308"],
     ],
 )
 def test_non_finite_parameters_exit_2(argv, capsys):
@@ -577,8 +578,7 @@ def _render_peak(argv: list[str]) -> int:
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_render_memory_does_not_grow_with_the_table(fmt, monkeypatch):
     # the render holds one block, not the table: 16 times the rows, about the
-    # same peak (about 0.5 MB), which moves only with a block's count of
-    # distinct values (at most 420 at 101^2, 467 at 401^2)
+    # same peak, which moves only with the rows of a block
     monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", 512)
     peaks = []
     for count in (101, 101, 401):  # the first run fills the formatter's caches

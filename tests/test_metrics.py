@@ -146,6 +146,13 @@ def test_scl_fidelity_frozen(n, x0, expected):
     np.testing.assert_allclose(fidelity_scl_scan(n, 0.0, x0), expected, rtol=0, atol=1e-12)
 
 
+def test_scl_fidelity_does_not_depend_on_p0():
+    # the input's phase e^{i p0 (x - x0/2)} cancels, so no p0 moves a bit of
+    # F_scl, not even one whose phase would overflow
+    f = fidelity_scl_scan(1, 0.0, 0.0)
+    assert [fidelity_scl_scan(1, 0.0, 0.0, p0) for p0 in (0.0, 3.0, 1e300, 1e308)] == [f] * 4
+
+
 def test_density_vacuum_is_unit_gaussian():
     np.testing.assert_allclose(
         outcome_density(0, 0.0, 0.0), 1.0 / np.sqrt(2.0 * np.pi), rtol=1e-15

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import catgate.phase_map
 from catgate.gate import GateParams
 from catgate.phase_map import map_disk, map_point
 
@@ -173,6 +174,23 @@ def test_map_disk_validation():
         map_disk(GateParams(1, 0.0), (0.0, 0.0), 0.0, 64)
     with pytest.raises(ValueError):
         map_disk(GateParams(1, 0.0), (0.0, 0.0), 1.0, 7)
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (1e308, 0.0)])
+def test_map_disk_refuses_lattice_beyond_double_range(center):
+    with pytest.raises(ValueError, match="has lattice points beyond the double range"):
+        map_disk(GateParams(1, 0.0), center, 1e308, 8)
+
+
+def test_map_disk_refuses_samples_over_budget_before_allocating(monkeypatch):
+    def build(*args):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setattr(catgate.phase_map, "_disk_samples", build)
+    # 1e11 samples would take 1.6 TB of q and p
+    for samples in (catgate.phase_map._MAX_SAMPLES + 1, 100_000_000_000):
+        with pytest.raises(ValueError, match=f"{samples} samples exceed the lattice budget"):
+            map_disk(GateParams(1, 0.0), (0.0, 0.0), 1.0, samples)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from catgate.errors import GridCoverageError, ZeroStateError
+from catgate.gate import GateParams, perfect_cat
 from catgate.metrics import scan_grid
 from catgate.numerics import Grid1D, integrate
 from catgate.states import (
@@ -97,6 +98,16 @@ def test_cat_norm_factor_matches_grid(parity_sign):
     )
     raw_norm_sq = integrate(np.abs(raw) ** 2, grid).real
     np.testing.assert_allclose(cat.norm_factor, raw_norm_sq, rtol=0, atol=1e-12)
+
+
+def test_cat_norm_factor_far_from_origin_matches_origin():
+    # the overlap of the components is e^{-(2n+1)} whatever x0 is, but its
+    # exponent as -|alpha|^2/2 - |beta|^2/2 + conj(alpha) beta cancels to no digit here
+    for n in (0, 1):
+        origin = perfect_cat(GateParams(n, 0.0), CoherentParams(0.0)).norm_factor
+        for x0 in (1e4, 1e8, 3e8):
+            cat = perfect_cat(GateParams(n, x0), CoherentParams(x0))
+            np.testing.assert_allclose(cat.norm_factor, origin, rtol=0, atol=1e-12)
 
 
 def test_assemble_cat_unit_norm():

@@ -294,6 +294,13 @@ def test_cat_reference_mirror_symmetry(n):
     np.testing.assert_allclose(w.total_mass(), 1.0, rtol=0, atol=1e-7)
 
 
+@pytest.mark.parametrize("n, x0", [(0, 1e8), (1, 3e8)])
+def test_cat_reference_far_from_origin_keeps_mass(n, x0):
+    params, inp = GateParams(n, x0), CoherentParams(x0)
+    w = wigner_cat_reference(perfect_cat(params, inp), *default_axes(params, inp))
+    np.testing.assert_allclose(w.total_mass(), 1.0, rtol=0, atol=1e-7)
+
+
 def test_cat_reference_fringe_spacing():
     n = 5
     params = GateParams(n, 0.0)
