@@ -8,8 +8,10 @@ data. A column of that data is either plain, an array of its numbers, or
 factored, its distinct values and each row's index into them; a factored
 column's values are formatted once per table, a plain column's cells with
 their block. Identical invocations produce byte-identical files; timing
-metadata is opt-in for that reason. Exit status is 0 on success, 2 for an
-invalid configuration, 3 when the numerics refuse the requested point.
+metadata is opt-in for that reason. Exit status is 0 on success, 1 when
+the reader of stdout closes the pipe early, 2 for an invalid configuration
+or an --out file that cannot be opened, 3 when the numerics refuse the
+requested point.
 Each command imports the modules it computes with when it runs, and json
 is imported only for JSON output, so that `import catgate.cli` loads no
 more of the package than catgate.errors and catgate.numerics.
@@ -31,6 +33,7 @@ import contextlib
 import functools
 import gc
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -129,18 +132,14 @@ def _run_wigner(p: dict):
         x_default, p_default = default_axes(params, inp)
         x_axis, p_axis = x_axis or x_default, p_axis or p_default
 
-    columns = ["x", "p"]
-    grids = []
+    both = p["engine"] == "both"
+    columns = ["x", "p", "W_mehler" if both else "W"]
+    grids = [wigner_mehler(params, inp, x_axis, p_axis)]
     metadata: dict = {"engine": p["engine"]}
-    if p["engine"] in ("mehler", "both"):
-        columns.append("W_mehler" if p["engine"] == "both" else "W")
-        grids.append(wigner_mehler(params, inp, x_axis, p_axis))
-    if p["engine"] in ("quadrature", "both"):
-        columns.append("W_quadrature" if p["engine"] == "both" else "W")
+    if both:
+        columns.append("W_quadrature")
         grids.append(wigner_output_quadrature(params, inp, x_axis, p_axis))
-    if p["engine"] == "both":
-        diff = float(np.max(np.abs(grids[0].values - grids[1].values)))
-        metadata["max_abs_difference"] = diff
+        metadata["max_abs_difference"] = float(np.max(np.abs(grids[0].values - grids[1].values)))
     if p["with_cat"]:
         columns.append("W_cat")
         grids.append(wigner_cat_reference(perfect_cat(params, inp), x_axis, p_axis))
@@ -485,10 +484,22 @@ def run(config: RunConfig) -> int:
     if config.output_path is None:
         destination = contextlib.nullcontext(sys.stdout)
     else:
-        destination = open(config.output_path, "w", encoding="utf-8", newline="\n")
-    with destination as stream:
-        for chunk in chunks:
-            stream.write(chunk)
+        try:
+            destination = open(config.output_path, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            print(f"invalid configuration: cannot write {config.output_path}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
+    try:
+        with destination as stream:
+            for chunk in chunks:
+                stream.write(chunk)
+            stream.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what stdout still buffers to devnull, so
+        # that its flush at interpreter exit cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 
@@ -541,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     wg.add_argument("--x0", type=float, default=0.0, help="input displacement")
     wg.add_argument("--p0", type=float, default=0.0, help="input momentum")
     wg.add_argument("--ym", dest="y_m", type=float, default=0.0, help="homodyne outcome")
-    wg.add_argument("--engine", choices=("mehler", "quadrature", "both"), default="mehler",
-                    help="closed-form engine, integration oracle, or both side by side")
+    wg.add_argument("--engine", choices=("mehler", "both"), default="mehler",
+                    help="closed form alone, or beside the integration oracle as a cross-check")
     wg.add_argument("--with-cat", action="store_true",
                     help="append the ideal-cat reference Wigner column")
     wg.add_argument("--x-range", dest="x_axis", type=_axis_spec,

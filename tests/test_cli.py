@@ -142,6 +142,18 @@ def test_timings_with_csv_exits_2(fmt, tmp_path, capsys):
     assert captured.out == "" and not target.exists()
 
 
+@pytest.mark.parametrize(
+    "parts, reason",
+    [((), "Is a directory"), (("missing", "dir", "x.csv"), "No such file or directory")],
+)
+def test_out_that_cannot_be_opened_exits_2(parts, reason, tmp_path, capsys):
+    target = tmp_path.joinpath(*parts)
+    assert main(["prob-density", "--n", "1", "--ym", "0", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"invalid configuration: cannot write {target}: {reason}\n"
+    assert captured.out == "" and not (tmp_path / "missing").exists()
+
+
 def test_scl_map_structure(capsys):
     assert main(["scl-map", "--n", "4", "--ym", "3", "--x0", "3", "--p0", "3",
                  "--samples", "64", "--format", "json"]) == 0
@@ -524,6 +536,9 @@ class _SpyWriter:
         self.writes.append(text)
         return len(text)
 
+    def flush(self) -> None:
+        pass
+
 
 def test_csv_streams_one_block_per_write(monkeypatch):
     monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", 7)
@@ -653,9 +668,21 @@ def test_default_density_axis_far_out_keeps_distinct_outcomes(capsys):
     assert len({row.split(",")[1] for row in rows}) == len(rows) == 201
 
 
+def test_wigner_engine_quadrature_is_refused(capsys):
+    # the oracle prints only beside the closed form, under --engine both
+    with pytest.raises(SystemExit) as info:
+        main(["wigner", "--n", "1", "--engine", "quadrature"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1].startswith(
+        "catgate wigner: error: argument --engine: invalid choice: 'quadrature'")
+    assert captured.out == ""
+
+
 def test_quadrature_oracle_over_budget_exits_3(capsys):
-    # the state grid would run from the axis to x0 - 9 = 1e17 - 9 at 0.02 spacing
-    argv = ["wigner", "--n", "1", "--ym", "1e17", "--x0", "1e17", "--engine", "quadrature",
+    # the state grid would run from the axis to x0 - 9 = 1e17 - 9 at 0.02 spacing, and
+    # the closed form, computed first, succeeds there
+    argv = ["wigner", "--n", "1", "--ym", "1e17", "--x0", "1e17", "--engine", "both",
             "--x-range=-1:1:3", "--p-range=0:1:3"]
     assert main(argv) == 3
     captured = capsys.readouterr()

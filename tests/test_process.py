@@ -151,3 +151,17 @@ def test_exit_freeze_keeps_output_and_status(argv, status, tmp_path, capsys):
     assert "".join(messages) == 2 * expected.err
     assert added == "handlers added 1\n"
     assert frozen.startswith("freeze count ") and int(frozen.split()[-1]) > 0
+
+
+def test_closed_pipe_ends_the_run_quietly():
+    # the 601 x 601 map is 21 MB of CSV, many pipe buffers, so the reader is
+    # gone long before the last write; with a short table the outcome would
+    # depend on timing
+    argv = ["wigner", "--n", "10", "--x-range=-6:6:601", "--p-range=-9:9:601"]
+    child = subprocess.Popen([sys.executable, "-m", "catgate.cli", *argv], env=ENV,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.read(4096).startswith(b"x,p,W\n")
+    child.stdout.close()
+    assert child.wait(timeout=60) == 1
+    assert child.stderr.read() == b""
+    child.stderr.close()
