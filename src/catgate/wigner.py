@@ -58,9 +58,12 @@ _EDGE_TOL = 1e-12
 # z-step of the oracle; first Simpson alias then sits far above the
 # p-bandwidths occurring here
 _ORACLE_SPACING = 0.02
-# most x-axis points times state-grid points the oracle may request: its
-# correlation matrix then takes at most 80 MB
+# most x-axis points, and most p-axis points, times state-grid points the
+# oracle may request: its e^{2ipz} kernel then takes at most 80 MB, and so
+# would all its correlation rows, of which one block is live at a time
 _ORACLE_BUDGET = 5_000_000
+# x rows per block of the oracle's correlation matrix
+_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -169,6 +172,12 @@ def wigner_quadrature(state: WaveFunctionGrid, x_axis: Grid1D, p_axis: Grid1D) -
     z range is half the state window, continued by zeros beyond the grid,
     which is valid because the state must have decayed below 1e-12 at its
     edges.
+
+    The e^{2ipz} kernel is built once; the correlation rows are built and
+    contracted with it a block of about _BLOCK_ROWS x values at a time, so
+    the memory is one block plus the kernel. A state grid whose count times
+    the p count exceeds _ORACLE_BUDGET raises GridCoverageError before the
+    kernel is built.
     """
     grid = state.grid
     h = grid.spacing
@@ -185,20 +194,39 @@ def wigner_quadrature(state: WaveFunctionGrid, x_axis: Grid1D, p_axis: Grid1D) -
             "requested x axis does not lie on the state grid; "
             "construct the state with aligned_state_grid(x_axis, ...)"
         )
+    if grid.count * p_axis.count > _ORACLE_BUDGET:
+        raise GridCoverageError(
+            f"quadrature oracle needs {grid.count} state-grid points for {p_axis.count} p-axis "
+            f"points, over its budget of {_ORACLE_BUDGET} for their product"
+        )
     half = (grid.count - 1) // 2
     padded = np.concatenate(
         [np.zeros(half, dtype=complex), state.values, np.zeros(half, dtype=complex)]
     )
-    centers = idx + half
     offsets = np.arange(-half, half + 1)
-    corr = np.conj(padded[centers[:, None] + offsets]) * padded[centers[:, None] - offsets]
-    z_grid = Grid1D(-half * h, half * h, 2 * half + 1)
-    kernel = np.exp(2j * np.outer(offsets * h, p_axis.xs))
-    values = ((corr * integration_weights(z_grid)) @ kernel) / np.pi
-    residue = float(np.max(np.abs(values.imag)))
+    weights = integration_weights(Grid1D(-half * h, half * h, 2 * half + 1))
+    kernel = _fourier_kernel(offsets * h, p_axis.xs)
+    values = np.empty((x_axis.count, p_axis.count))
+    residue = 0.0
+    # near-equal blocks: a one-row tail would take another BLAS path and move the last bits
+    blocks = -(-x_axis.count // _BLOCK_ROWS)
+    for centers, out in zip(np.array_split(idx + half, blocks), np.array_split(values, blocks)):
+        corr = np.conj(padded[centers[:, None] + offsets])
+        corr *= padded[centers[:, None] - offsets]
+        corr *= weights
+        block = corr @ kernel
+        block /= np.pi
+        residue = max(residue, float(np.max(np.abs(block.imag))))
+        out[...] = block.real
     if residue > 1e-10:
         raise GridCoverageError(f"imaginary residue {residue:.2e}; state grid too coarse")
-    return WignerGrid(x_axis, p_axis, values.real)
+    return WignerGrid(x_axis, p_axis, values)
+
+
+def _fourier_kernel(z: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """e^{2ipz} on the (z, p) product, exponentiated in place."""
+    kernel = np.multiply.outer(2j * z, p)
+    return np.exp(kernel, out=kernel)
 
 
 def aligned_state_grid(x_axis: Grid1D, lo: float, hi: float) -> Grid1D:
@@ -235,24 +263,37 @@ def wigner_cat_reference(cat: CatSuperposition, x_axis: Grid1D, p_axis: Grid1D) 
     """Wigner map of a cat e^{i theta}|alpha_+> + s e^{-i theta}|alpha_->, in
     closed form, for side-by-side comparison plots.
 
-    With g = (x + ip)/sqrt(2), amplitudes a = (e^{i theta}, s e^{-i theta})
-    and N = cat.norm_factor, each |alpha_j><alpha_l| contributes a complex
-    Gaussian:
+    Everything is measured from the cat's centre c = (alpha_+ + alpha_-)/2,
+    at quadratures (x_c, p_c) = sqrt(2) (Re c, Im c). Since
+    |c + d> = e^{-i Im(c conj d)} D(c)|d>, the map is that of the centred
+    components d_j = alpha_j - c, shifted to (x_c, p_c), with amplitudes
+    a_j = (e^{i theta}, s e^{-i theta})_j e^{-i Im(c conj d_j)}. With
+    g = (x - x_c + i(p - p_c))/sqrt(2) and N = cat.norm_factor, each
+    |d_j><d_l| contributes a complex Gaussian:
 
-        W = sum_{j,l} a_j conj(a_l) <alpha_l|alpha_j>
-            e^{-2 conj(g - alpha_l) (g - alpha_j)} / (pi N),
+        W = sum_{j,l} a_j conj(a_l) <d_l|d_j> e^{-2 conj(g - d_l) (g - d_j)} / (pi N),
 
-    <alpha_l|alpha_j> = e^{-|alpha_j - alpha_l|^2/2 + i Im(conj(alpha_l) alpha_j)},
-    from states._overlap_exponent, which N takes its cross term from too. Its
+    <d_l|d_j> = e^{-|d_j - d_l|^2/2 + i Im(conj(d_l) d_j)}, from
+    states._overlap_exponent, which N takes its cross term from too. Its
     exponent joins the Gaussian's, and their sum has real part
-    -2 |g - (alpha_j + alpha_l)/2|^2, so no factor overflows however far
-    apart the components are. No state is sampled and nothing is integrated.
+    -2 |g - (d_j + d_l)/2|^2, so no factor overflows however far apart the
+    components are. Every Gaussian argument is of the order of the axes'
+    distance from the centre, and the displacement phase, taken in
+    quadratures as (x_c q_j - p_c u_j)/2 for d_j = (u_j + i q_j)/sqrt(2),
+    cancels theta's rounding wherever sqrt(2) Re c gives back the x0 the cat
+    was built from: far from the origin the map keeps the digits of the map
+    at the origin. No state is sampled and nothing is integrated.
     """
-    g = (x_axis.xs[:, None] + 1j * p_axis.xs) / np.sqrt(2.0)
-    terms = (
-        (np.exp(1j * cat.phase_theta), cat.alpha_plus),
-        (cat.parity_sign * np.exp(-1j * cat.phase_theta), cat.alpha_minus),
-    )
+    root2 = np.sqrt(2.0)
+    centre = 0.5 * (cat.alpha_plus + cat.alpha_minus)
+    x_c, p_c = root2 * centre.real, root2 * centre.imag
+    g = ((x_axis.xs - x_c)[:, None] + 1j * (p_axis.xs - p_c)) / root2
+    terms = []
+    for sign, theta, alpha in ((1, cat.phase_theta, cat.alpha_plus),
+                               (cat.parity_sign, -cat.phase_theta, cat.alpha_minus)):
+        d = alpha - centre
+        shift = 0.5 * (x_c * (root2 * d.imag) - p_c * (root2 * d.real))
+        terms.append((sign * np.exp(1j * (theta + shift)), d))
     values = sum(
         a * np.conj(b) * np.exp(
             -2.0 * np.conj(g - beta) * (g - alpha) + _overlap_exponent(beta, alpha)

@@ -14,6 +14,7 @@ import pytest
 
 import catgate
 import catgate.cli
+import catgate.wigner
 from catgate.cli import RunConfig, build_parser, main, run
 from catgate.gate import GateParams, perfect_cat
 from catgate.metrics import (
@@ -688,6 +689,21 @@ def test_quadrature_oracle_over_budget_exits_3(capsys):
     captured = capsys.readouterr()
     assert captured.err == (
         "quadrature oracle needs 5000000000000001125 state-grid points for 3 axis points, "
+        "over its budget of 5000000 for their product\n")
+    assert captured.out == ""
+
+
+def test_quadrature_kernel_over_budget_exits_3(capsys, monkeypatch):
+    def build(*args):
+        raise AssertionError("the kernel was built")
+
+    monkeypatch.setattr(catgate.wigner, "_fourier_kernel", build)
+    # 901 state-grid points times 6001 p points: the e^{2ipz} kernel would take 87 MB
+    argv = ["wigner", "--n", "1", "--engine", "both", "--x-range=-1:1:3", "--p-range=-1:1:6001"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "quadrature oracle needs 901 state-grid points for 6001 p-axis points, "
         "over its budget of 5000000 for their product\n")
     assert captured.out == ""
 

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import binom, factorial, genlaguerre
 
+import catgate.wigner
 from catgate.errors import GridCoverageError, ZeroProbabilityError
 from catgate.gate import GateParams, outcome_norm, perfect_cat
 from catgate.metrics import fidelity_cat_scan, outcome_density
@@ -82,8 +85,8 @@ def test_aligned_state_grid_contains_axis():
 
 
 def test_aligned_state_grid_refuses_over_budget_before_allocating():
-    # x0 = 1e4: 401 axis points times a 667,668-point grid at 0.015 spacing, whose
-    # correlation matrix would take 4.3 GB
+    # x0 = 1e4: 401 axis points times a 667,668-point grid at 0.015 spacing; one
+    # 32-row block of its correlation rows would take 342 MB, and all of them 4.3 GB
     with pytest.raises(GridCoverageError,
                        match="needs 667668 state-grid points for 401 axis points"):
         aligned_state_grid(Grid1D(-6.0, 6.0, 401), 1e4 - 9.0, 1e4 + 9.0)
@@ -301,6 +304,19 @@ def test_cat_reference_far_from_origin_keeps_mass(n, x0):
     np.testing.assert_allclose(w.total_mass(), 1.0, rtol=0, atol=1e-7)
 
 
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_cat_reference_far_from_origin_matches_origin(n):
+    # the axes' points are exact doubles at both offsets, so the two maps sample the
+    # same cells, and no phase or Gaussian argument may lose digits to x0
+    x0 = 3e8
+    pa = Grid1D(-6.0, 6.0, 49)
+    far = wigner_cat_reference(perfect_cat(GateParams(n, x0), CoherentParams(x0)),
+                               Grid1D(x0 - 6.0, x0 + 6.0, 49), pa)
+    near = wigner_cat_reference(perfect_cat(GateParams(n, 0.0), CoherentParams(0.0)),
+                                Grid1D(-6.0, 6.0, 49), pa)
+    np.testing.assert_allclose(far.values, near.values, rtol=1e-12, atol=0)
+
+
 def test_cat_reference_fringe_spacing():
     n = 5
     params = GateParams(n, 0.0)
@@ -351,6 +367,61 @@ def test_quadrature_rejects_undecayed_edges():
     state = WaveFunctionGrid(grid, broad)
     with pytest.raises(GridCoverageError):
         wigner_quadrature(state, Grid1D(-1.0, 1.0, 101), Grid1D(-1.0, 1.0, 3))
+
+
+@pytest.mark.parametrize("count", [2, 31, 33, 65, 401])
+@pytest.mark.parametrize("rows", [2, 7, 10**6])
+def test_quadrature_does_not_depend_on_block_rows(count, rows, monkeypatch):
+    args = (GateParams(5, 0.3), CoherentParams(0.2, 0.1), Grid1D(-4.0, 4.0, count),
+            Grid1D(-8.0, 8.0, 61))
+    default = wigner_output_quadrature(*args).values
+    monkeypatch.setattr(catgate.wigner, "_BLOCK_ROWS", rows)
+    values = wigner_output_quadrature(*args).values
+    # a one-row block is a matrix-vector product, which BLAS sums in another order
+    blocks = -(-count // rows)
+    tol = 1e-15 * np.max(np.abs(default)) if count // blocks == 1 else 0.0
+    np.testing.assert_allclose(values, default, rtol=0, atol=tol)
+
+
+def _quadrature_peak(x_axis: Grid1D, p_axis: Grid1D) -> int:
+    args = (GateParams(300, 0.0), CoherentParams(0.0, 0.0), x_axis, p_axis)
+    wigner_output_quadrature(*args)
+    tracemalloc.start()
+    try:
+        wigner_output_quadrature(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_quadrature_memory_is_one_block_plus_the_kernel():
+    # the 1201 x 401 kernel takes 7.7 MB of it, one 32-row correlation block 0.6 MB
+    assert _quadrature_peak(Grid1D(-6.0, 6.0, 401), Grid1D(-29.0, 29.0, 401)) <= 12.5e6
+    # both axes refine to one 1801-point state grid at 0.01 spacing, so the kernel is
+    # the same and only the output grows, by 1200 x 401 doubles
+    pa = Grid1D(-29.0, 29.0, 401)
+    growth = _quadrature_peak(Grid1D(-8.0, 8.0, 1601), pa) - _quadrature_peak(
+        Grid1D(-2.0, 2.0, 401), pa)
+    assert growth <= 1200 * 401 * 8 + 1e6
+
+
+@pytest.mark.parametrize("x0", [-3.5, 3.5])
+def test_quadrature_residue_is_the_largest_of_all_blocks(x0, monkeypatch):
+    # weights that are not even in z leave an imaginary part, largest in the rows
+    # around x0: in the first of the three blocks for x0 = -3.5, the last for 3.5
+    def skewed(grid):
+        return integration_weights(grid) * np.linspace(0.5, 1.5, grid.count)
+
+    monkeypatch.setattr(catgate.wigner, "integration_weights", skewed)
+    state = coherent_wavefunction(CoherentParams(x0), Grid1D(-12.0, 12.0, 1201))
+    xa, pa = Grid1D(-4.0, 4.0, 81), Grid1D(-3.0, 3.0, 31)
+    messages = []
+    for rows in (catgate.wigner._BLOCK_ROWS, 10**6):
+        monkeypatch.setattr(catgate.wigner, "_BLOCK_ROWS", rows)
+        with pytest.raises(GridCoverageError, match="imaginary residue") as info:
+            wigner_quadrature(state, xa, pa)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_mehler_even_symmetry_at_origin():
