@@ -139,7 +139,8 @@ def _run_wigner(p: dict):
     if both:
         columns.append("W_quadrature")
         grids.append(wigner_output_quadrature(params, inp, x_axis, p_axis))
-        metadata["max_abs_difference"] = float(np.max(np.abs(grids[0].values - grids[1].values)))
+        difference = grids[0].values - grids[1].values
+        metadata["max_abs_difference"] = float(np.max(np.abs(difference, out=difference)))
     if p["with_cat"]:
         columns.append("W_cat")
         grids.append(wigner_cat_reference(perfect_cat(params, inp), x_axis, p_axis))
@@ -313,6 +314,7 @@ def _g17_cells(values: np.ndarray) -> np.ndarray:
     a row of its value's digits and characters by the byte map of its
     layout. Values whose digits are undecided, and 0, -0, inf and nan, go
     through b"%.17g" % v itself, so the text is that of %.17g byte for byte.
+    The gather's index is int32, which holds up to 8e7 values at a time.
     """
     digits, trailing, exponent = _digit_tables()
     v = values.astype(float)
@@ -339,11 +341,13 @@ def _g17_cells(values: np.ndarray) -> np.ndarray:
     # the gather below is the peak: let go of what it does not read
     del magnitude, integer, x, groups, zeros, form
     present = np.flatnonzero(np.bincount(code))
-    layouts = np.zeros((present[-1] + 1, _NUMBER_WIDTH), dtype=np.intp)
+    # an int32 index, half the size of an intp one; fancy indexing reads it
+    # as it is, where np.take would convert all of it to intp first
+    layouts = np.zeros((present[-1] + 1, _NUMBER_WIDTH), dtype=np.int32)
     layouts[present] = [_layout(c) for c in present.tolist()]
     index = layouts[code]
-    index += np.arange(0, source.size, source.shape[1])[:, None]
-    cells = np.take(source.ravel(), index).view(f"S{_NUMBER_WIDTH}").ravel()
+    index += np.arange(0, source.size, source.shape[1], dtype=np.int32)[:, None]
+    cells = source.ravel()[index].view(f"S{_NUMBER_WIDTH}").ravel()
     fallback = np.flatnonzero(special | ~decided)
     cells[fallback] = [b"%.17g" % f for f in v[fallback].tolist()]
     return cells
@@ -369,11 +373,13 @@ def _row_blocks(data: list, quote, lead: bytes, end: bytes):
     digits computed exactly enough to decide their rounding, with
     b"%.17g" % v for the values where they cannot (see _decimal_digits).
 
-    A block is a uint8 matrix with one fixed-width slot per cell. It is
-    allocated once the block's plain cells are made, and the factored
-    cells are gathered into it one column at a time, so that neither it nor
-    a gathered column coexists with the formatter's temporaries. Dropping
-    the NUL padding of the slots leaves the row text.
+    A block is a bytearray, written through a uint8 matrix view with one
+    fixed-width slot per cell. It is allocated once the block's plain cells
+    are made, and the factored cells are gathered into it one column at a
+    time, so that neither it nor a gathered column coexists with the
+    formatter's temporaries. Dropping the NUL padding of the slots leaves
+    the row text; the cells go before it is made, the block before the next
+    one is formatted.
     """
     columns = []
     for column in data:
@@ -394,18 +400,20 @@ def _row_blocks(data: list, quote, lead: bytes, end: bytes):
         slots.append(slice(len(template), len(template) + width))
         template += bytes(width)
     template += end
-    row = np.frombuffer(bytes(template), dtype=np.uint8)
     first = columns[0]
     rows = first[1].size if isinstance(first, tuple) else first.size
     for start in range(0, rows, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, rows)
         plain = [None if isinstance(c, tuple) else _g17_cells(c[start:stop]) for c in columns]
-        block = np.tile(row, (stop - start, 1))
+        chunk = template * (stop - start)
+        block = np.frombuffer(chunk, dtype=np.uint8).reshape(stop - start, -1)
         for column, text, slot in zip(columns, plain, slots):
             if text is None:
                 text = column[0][column[1][start:stop]]
             block[:, slot] = text.view(np.uint8).reshape(stop - start, -1)
-        yield block.tobytes().translate(None, b"\0").decode()
+        del plain, text, block
+        yield chunk.translate(None, b"\0").decode()
+        del chunk
 
 
 def _render_csv(columns: list[str], data: list):
@@ -494,6 +502,8 @@ def run(config: RunConfig) -> int:
         with destination as stream:
             for chunk in chunks:
                 stream.write(chunk)
+                # let go of the text before the next block is made
+                del chunk
             stream.flush()
     except BrokenPipeError:
         # the reader is gone: send what stdout still buffers to devnull, so

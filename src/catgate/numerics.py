@@ -31,6 +31,8 @@ _EXP_FLOOR = 700.0
 _RESCALE_STEPS = 32
 # least exponent of h_0, so that every exponent fits an int32
 _MIN_BINEXP = -(2.0**30)
+# most values of a temporary of _poisson_weights (512 kB)
+_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -137,14 +139,19 @@ def _poisson_weights(t: np.ndarray, n: int) -> np.ndarray:
     or underflows on its own: a weight is 0 only when it is below the double
     range. A rate past the double range (|t| above about 1.3e154) is taken
     as the largest double, where every weight is 0 too, rather than inf,
-    where inf - inf would make them nan."""
+    where inf - inf would make them nan. The exponents are formed in the
+    result and exponentiated in place, so no other array is as large."""
     with np.errstate(over="ignore"):
         lam = np.minimum(0.5 * t * t, np.finfo(float).max)
     log_lam = np.log(lam, out=np.full(lam.shape, -np.inf), where=lam > 0.0)
     expo = np.zeros((lam.size, n + 1))
-    expo[:, 1:] = log_lam[:, None] * np.arange(1.0, n + 1.0)
-    expo -= lam[:, None] + _log_factorials(1 << int(n).bit_length())[: n + 1]
-    return np.exp(expo)
+    np.multiply(log_lam[:, None], np.arange(1.0, n + 1.0), out=expo[:, 1:])
+    log_factorials = _log_factorials(1 << int(n).bit_length())[: n + 1]
+    # lam + log j! a block of rows at a time, so no temporary is as large as expo
+    step = max(1, _BLOCK_VALUES // (n + 1))
+    for start in range(0, lam.size, step):
+        expo[start : start + step] -= lam[start : start + step, None] + log_factorials
+    return np.exp(expo, out=expo)
 
 
 @functools.cache

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -602,6 +603,26 @@ def test_render_memory_does_not_grow_with_the_table(fmt, monkeypatch):
                 "--format", fmt]
         peaks.append(_render_peak(argv))
     assert peaks[2] < 1.25 * peaks[1]
+
+
+def test_render_memory_of_plain_columns_is_one_block():
+    # a block's cells, matrix and text go before the next block is formatted, so
+    # four blocks of two plain columns peak where one does: 1.77 MB
+    rows = catgate.cli._BLOCK_ROWS
+    rng = np.random.default_rng(3)
+    peaks = []
+    for count in (rows, rows, 4 * rows):  # the first run fills the formatter's caches
+        data = [rng.standard_normal(count), rng.standard_normal(count)]
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w") as stream:
+                for chunk in catgate.cli._render_csv(["a", "b"], data):
+                    stream.write(chunk)
+                    del chunk
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= peaks[1] + 64e3
 
 
 def test_wigner_large_n_default_axes_keep_mass(capsys):

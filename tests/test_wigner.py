@@ -358,6 +358,13 @@ def test_quadrature_rejects_misaligned_axis():
         wigner_quadrature(state, bad, Grid1D(-1.0, 1.0, 3))
 
 
+def test_quadrature_rejects_two_x_values_on_one_state_sample():
+    # both points round onto sample 1000, so the x rows are no strided view
+    state = coherent_wavefunction(CoherentParams(0.0, 0.0), Grid1D(-10.0, 10.0, 2001))
+    with pytest.raises(GridCoverageError, match="does not lie on the state grid"):
+        wigner_quadrature(state, Grid1D(0.0, 1e-12, 2), Grid1D(-1.0, 1.0, 3))
+
+
 def test_quadrature_rejects_undecayed_edges():
     from catgate.states import WaveFunctionGrid
 
@@ -383,32 +390,60 @@ def test_quadrature_does_not_depend_on_block_rows(count, rows, monkeypatch):
     np.testing.assert_allclose(values, default, rtol=0, atol=tol)
 
 
-def _quadrature_peak(x_axis: Grid1D, p_axis: Grid1D) -> int:
-    args = (GateParams(300, 0.0), CoherentParams(0.0, 0.0), x_axis, p_axis)
-    wigner_output_quadrature(*args)
+@pytest.mark.parametrize("count", [2, 5, 9, 61, 401])
+@pytest.mark.parametrize("points", [1, 8_000, 60_000, 10**9])
+def test_quadrature_does_not_depend_on_slice_width(count, points, monkeypatch):
+    # on the 902-point state grid: slices 4, 8, 64 and all columns wide, against 72
+    args = (GateParams(5, 0.3), CoherentParams(0.2, 0.1), Grid1D(-4.0, 4.0, 81),
+            Grid1D(-8.0, 8.0, count))
+    default = wigner_output_quadrature(*args).values
+    monkeypatch.setattr(catgate.wigner, "_SLICE_POINTS", points)
+    np.testing.assert_array_equal(wigner_output_quadrature(*args).values, default)
+
+
+def _traced_peak(function, *args) -> int:
+    function(*args)
     tracemalloc.start()
     try:
-        wigner_output_quadrature(*args)
+        function(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_quadrature_memory_is_one_block_plus_the_kernel():
-    # the 1201 x 401 kernel takes 7.7 MB of it, one 32-row correlation block 0.6 MB
-    assert _quadrature_peak(Grid1D(-6.0, 6.0, 401), Grid1D(-29.0, 29.0, 401)) <= 12.5e6
-    # both axes refine to one 1801-point state grid at 0.01 spacing, so the kernel is
-    # the same and only the output grows, by 1200 x 401 doubles
-    pa = Grid1D(-29.0, 29.0, 401)
+def _quadrature_peak(x_axis: Grid1D, p_axis: Grid1D) -> int:
+    args = (GateParams(300, 0.0), CoherentParams(0.0, 0.0), x_axis, p_axis)
+    return _traced_peak(wigner_output_quadrature, *args)
+
+
+def test_quadrature_memory_is_one_block_plus_one_kernel_slice():
+    # the result, a slice of 52 of the 1201-point kernel's columns and one
+    # 64-row block of correlation rows: 1.29 + 1.00 + 1.23 MB, 3.79 MB traced
+    xa, pa = Grid1D(-6.0, 6.0, 401), Grid1D(-29.0, 29.0, 401)
+    assert aligned_state_grid(xa, -9.0, 9.0).count == 1201
+    floats = xa.count * pa.count + 2 * 1201 * (52 + catgate.wigner._BLOCK_ROWS)
+    assert _quadrature_peak(xa, pa) <= 8 * floats + 0.5e6
+    # both axes refine to one 1801-point state grid at 0.01 spacing, so the slices
+    # are the same and only the output grows, by 1200 x 401 doubles
     growth = _quadrature_peak(Grid1D(-8.0, 8.0, 1601), pa) - _quadrature_peak(
         Grid1D(-2.0, 2.0, 401), pa)
-    assert growth <= 1200 * 401 * 8 + 1e6
+    assert growth <= 1200 * 401 * 8 + 0.25e6
+
+
+def test_mehler_memory_is_its_two_matrices_plus_the_result():
+    params, inp = GateParams(3000, 0.0), CoherentParams(0.0, 0.0)
+    xa, pa = default_axes(params, inp)
+    assert (xa.count, pa.count) == (889, 889)
+    # the 3001-row Hermite and Poisson matrices and the result, 49.0 MB of doubles
+    floats = 3001 * (xa.count + pa.count) + xa.count * pa.count
+    assert _traced_peak(wigner_mehler, params, inp, xa, pa) <= 8 * floats + 0.25e6
 
 
 @pytest.mark.parametrize("x0", [-3.5, 3.5])
 def test_quadrature_residue_is_the_largest_of_all_blocks(x0, monkeypatch):
     # weights that are not even in z leave an imaginary part, largest in the rows
-    # around x0: in the first of the three blocks for x0 = -3.5, the last for 3.5
+    # around x0, in the first of two blocks for x0 = -3.5 and the last for 3.5, and
+    # in p columns 11 and 19, in the third and fifth of eight 4-column slices
     def skewed(grid):
         return integration_weights(grid) * np.linspace(0.5, 1.5, grid.count)
 
@@ -416,8 +451,9 @@ def test_quadrature_residue_is_the_largest_of_all_blocks(x0, monkeypatch):
     state = coherent_wavefunction(CoherentParams(x0), Grid1D(-12.0, 12.0, 1201))
     xa, pa = Grid1D(-4.0, 4.0, 81), Grid1D(-3.0, 3.0, 31)
     messages = []
-    for rows in (catgate.wigner._BLOCK_ROWS, 10**6):
+    for rows, points in ((catgate.wigner._BLOCK_ROWS, 1), (10**6, 10**9)):
         monkeypatch.setattr(catgate.wigner, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(catgate.wigner, "_SLICE_POINTS", points)
         with pytest.raises(GridCoverageError, match="imaginary residue") as info:
             wigner_quadrature(state, xa, pa)
         messages.append(str(info.value))
