@@ -3,15 +3,16 @@
 Every command writes one table: a header of glossary symbols and one
 record per scan point, all floats serialized with 17 significant digits.
 Rows are formatted and written in blocks, and the renderer holds one
-block at a time: no array is as long as the table besides the handler's
-data. A column of that data is either plain, an array of its numbers, or
-factored, its distinct values and each row's index into them; a factored
-column's values are formatted once per table, a plain column's cells with
-their block. Identical invocations produce byte-identical files; timing
-metadata is opt-in for that reason. Exit status is 0 on success, 1 when
-the reader of stdout closes the pipe early, 2 for an invalid configuration
-or an --out file that cannot be opened, 3 when the numerics refuse the
-requested point.
+block at a time. A column of the handler's data is either plain, an array
+of its numbers, or factored, its distinct values and each row's index into
+them; a factored column's values are formatted once per table, a plain
+column's cells with their block. The index of a scan axis or of a constant
+column is computed a block at a time, so no array is as long as the table
+besides the values the handler computed. Identical invocations produce
+byte-identical files; timing metadata is opt-in for that reason. Exit
+status is 0 on success, 1 when the reader of stdout closes the pipe early,
+2 for an invalid configuration or an --out file that cannot be opened, 3
+when the numerics refuse the requested point.
 Each command imports the modules it computes with when it runs, and json
 is imported only for JSON output, so that `import catgate.cli` loads no
 more of the package than catgate.errors and catgate.numerics.
@@ -95,15 +96,28 @@ def _axis_spec(text: str) -> Grid1D:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+@dataclass(frozen=True)
+class _Strided:
+    """A factored column's index that is never materialised: row r of its
+    `size` rows reads value (r // stride) % count. A slice of it is made
+    when it is read, so that a block costs only its own rows."""
+
+    size: int
+    stride: int = 1
+    count: int = 1
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return np.arange(*rows.indices(self.size)) // self.stride % self.count
+
+
 def _product(outer, inner) -> tuple[tuple, tuple]:
     """Columns of every (outer, inner) pair, inner varying fastest, both
-    factored: each is its values and every row's index into them, so that
-    neither column is materialised. An index takes the smallest unsigned
-    type that holds it; values[index] gives a column's rows."""
+    factored: each is its values and a _Strided index into them, so that
+    neither the column nor its index is as long as the table. values[index[:]]
+    gives a column's rows."""
     outer, inner = np.asarray(outer), np.asarray(inner)
-    i = np.arange(outer.size, dtype=np.min_scalar_type(outer.size))
-    j = np.arange(inner.size, dtype=np.min_scalar_type(inner.size))
-    return (outer, np.repeat(i, inner.size)), (inner, np.tile(j, outer.size))
+    rows = outer.size * inner.size
+    return (outer, _Strided(rows, inner.size, outer.size)), (inner, _Strided(rows, 1, inner.size))
 
 
 def _run_fidelity_scan(p: dict, column: str):
@@ -113,10 +127,10 @@ def _run_fidelity_scan(p: dict, column: str):
 
     scan = fidelity_cat_scan if column == "F_cat" else fidelity_scl_scan
     x0, n = _product(p["x0"], p["n"])
-    xs, ks = x0[0][x0[1]], n[0][n[1]]
-    y_m = xs if p.get("ym_equals_x0") else np.full(xs.size, p["y_m"])
-    f = [scan(k, y, x, p["p0"]) for k, y, x in zip(ks.tolist(), y_m.tolist(), xs.tolist())]
-    data = [n, y_m, x0, np.full(xs.size, p["p0"]), np.array(f)]
+    y_m = x0 if p.get("ym_equals_x0") else (np.array([p["y_m"]]), _Strided(x0[1].size))
+    rows = zip(*(values[index[:]].tolist() for values, index in (n, y_m, x0)))
+    f = [scan(k, y, x, p["p0"]) for k, y, x in rows]
+    data = [n, y_m, x0, (np.array([p["p0"]]), _Strided(x0[1].size)), np.array(f)]
     return ["n", "y_m", "x0", "p0", column], data, {}
 
 
@@ -158,18 +172,18 @@ def _run_prob_density(p: dict):
         ys = (p["y_axis"] or Grid1D(p["x0"] - 5.0, p["x0"] + 5.0, 201)).xs
     n, y_m = _product(p["n"], ys)
     dens = np.concatenate([outcome_density(k, p["x0"], ys) for k in p["n"]])
-    return ["n", "y_m", "x0", "P"], [n, y_m, np.full(dens.size, p["x0"]), dens], {}
+    return ["n", "y_m", "x0", "P"], [n, y_m, (np.array([p["x0"]]), _Strided(dens.size)), dens], {}
 
 
 def _run_mixed_fidelity(p: dict):
     from .metrics import mixed_fidelity, window_probability
 
     n, d = _product(p["n"], p["d"])
-    points = list(zip(n[0][n[1]].tolist(), d[0][d[1]].tolist()))
+    points = list(zip(n[0][n[1][:]].tolist(), d[0][d[1][:]].tolist()))
     # P first: it checks every width before any F_mix can fail on one
     prob = [window_probability(k, p["x0"], w) for k, w in points]
     f_mix = [mixed_fidelity(k, p["x0"], w) for k, w in points]
-    data = [n, np.full(len(points), p["x0"]), d, np.array(f_mix), np.array(prob)]
+    data = [n, (np.array([p["x0"]]), _Strided(len(points))), d, np.array(f_mix), np.array(prob)]
     return ["n", "x0", "d", "F_mix", "P"], data, {}
 
 
@@ -185,12 +199,8 @@ def _run_scl_map(p: dict):
     # the gate keeps q, so each image's q is that of its preimage, a row of source
     rows = np.concatenate([np.arange(q.size), upper, lower],
                           dtype=np.min_scalar_type(q.size), casting="unsafe")
-    mom = np.concatenate([mom, disk.upper[1], disk.lower[1]])
-    metadata = {
-        "dropped": disk.dropped,
-        "upper_count": disk.upper[0].size,
-        "lower_count": disk.lower[0].size,
-    }
+    mom = np.concatenate([mom, disk.upper, disk.lower])
+    metadata = {"dropped": disk.dropped, "upper_count": upper.size, "lower_count": lower.size}
     return ["branch", "q", "p"], [branch, (q, rows), mom], metadata
 
 
@@ -205,7 +215,11 @@ _HANDLERS = {
 
 
 # Rows per written block, and most values formatted at once.
-_BLOCK_ROWS = 1 << 13
+_BLOCK_ROWS = 1 << 12
+# Cells gathered at a time. Their index holds 24 uint16 offsets a cell, into
+# 26 source bytes a cell, so a gather may span up to 2520 cells; np.take
+# copies it to intp, 192 bytes a cell.
+_GATHER_ROWS = 1 << 9
 # Bytes of the widest %.17g of a double, e.g. -2.2250738585072014e-308.
 _NUMBER_WIDTH = 24
 # Columns of the per-value source row that a cell is gathered from: the 17
@@ -265,10 +279,11 @@ def _power_of_ten(s: int) -> tuple[float, float, int]:
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's split of doubles into two halves of at most 26 bits each."""
-    c = 134217729.0 * a
-    high = c - (c - a)
-    return high, a - high
+    """Dekker's split of doubles into two halves of at most 26 bits each;
+    the low half is written over a."""
+    high = 134217729.0 * a
+    high -= high - a
+    return high, np.subtract(a, high, out=a)
 
 
 def _decimal_digits(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -281,25 +296,33 @@ def _decimal_digits(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     That decides the rounding unless D is within 1e-9 of a tie (an exact
     tie rounds half-even in the C conversion), or within 1e-6 relative of
     10^16 or 10^17, where x from log10 may be one off or the rounding may
-    carry into an 18th digit.
+    carry into an 18th digit. Each step writes over an array it has spent,
+    magnitude's among them, so that a value costs about 64 bytes at most.
     """
     fraction, e = np.frexp(magnitude)
-    mantissa = np.ldexp(fraction, 53)
-    x = np.floor(np.log10(magnitude)).astype(np.int64)
+    mantissa = np.ldexp(fraction, 53, out=fraction)
+    x = np.floor(np.log10(magnitude)).astype(np.int16)
     row = x + 324
     present = np.flatnonzero(np.bincount(row))
     powers = np.zeros((3, present[-1] + 1))
     powers[:, present] = np.transpose([_power_of_ten(340 - p) for p in present.tolist()])
-    hi, lo, b = powers[:, row]
+    hi, lo = powers[0][row], powers[1][row]
+    e += powers[2].astype(np.int32)[row] - 53
+    lo *= mantissa
+    product = np.multiply(mantissa, hi, out=magnitude)
     h1, h2 = _split(hi)
     m1, m2 = _split(mantissa)
-    product = mantissa * hi
-    error = ((m1 * h1 - product) + m1 * h2 + m2 * h1) + m2 * h2 + mantissa * lo
+    # ((m1 h1 - product) + m1 h2 + m2 h1) + m2 h2 + mantissa lo, each term
+    # formed over one of its factors
+    error = m1 * h1 - product
+    for a, b in ((m1, h2), (h1, m2), (h2, m2)):
+        error += np.multiply(a, b, out=a)
+    error += lo
+    del fraction, mantissa, hi, lo, h1, h2, m1, m2
     # D = near + far: near is a whole number, being at least 2^53, and |far| < 200
-    scale = e - 53 + b.astype(np.int64)
-    near, far = np.ldexp(product, scale), np.ldexp(error, scale)
+    near, far = np.ldexp(product, e, out=product), np.ldexp(error, e, out=error)
     whole = np.floor(far)
-    rest = far - whole
+    rest = np.subtract(far, whole, out=far)
     integer = near.astype(np.int64) + whole.astype(np.int64) + (rest > 0.5)
     decided = (np.abs(rest - 0.5) >= 1e-9) & (near >= 1e16 + 1e10) & (near <= 1e17 - 1e11)
     return integer, x, decided
@@ -312,18 +335,17 @@ def _g17_cells(values: np.ndarray) -> np.ndarray:
     %f for a decimal exponent -4 <= x < 17 and %e otherwise, trailing zeros
     stripped, an exponent of at least 2 digits. Each cell is gathered from
     a row of its value's digits and characters by the byte map of its
-    layout. Values whose digits are undecided, and 0, -0, inf and nan, go
-    through b"%.17g" % v itself, so the text is that of %.17g byte for byte.
-    The gather's index is int32, which holds up to 8e7 values at a time.
+    layout, _GATHER_ROWS cells at a time. Values whose digits are
+    undecided, and 0, -0, inf and nan, go through b"%.17g" % v itself, so
+    the text is that of %.17g byte for byte. The peak is about 80 bytes a
+    value, with the cells.
     """
     digits, trailing, exponent = _digit_tables()
-    v = values.astype(float)
-    magnitude = np.abs(v)
-    special = ~np.isfinite(magnitude) | (magnitude == 0)
-    magnitude[special] = 1.0
-    integer, x, decided = _decimal_digits(magnitude)
+    v = np.asarray(values, dtype=float)
+    special = ~np.isfinite(v) | (v == 0)
+    integer, x, decided = _decimal_digits(np.where(special, 1.0, np.abs(v)))
 
-    groups = np.empty((v.size, 4), dtype=np.int64)
+    groups = np.empty((v.size, 4), dtype=np.int16)
     for i in (3, 2, 1, 0):
         integer, groups[:, i] = np.divmod(integer, 10000)
     source = np.empty((v.size, _NUL + 1), dtype=np.uint8)
@@ -338,16 +360,19 @@ def _g17_cells(values: np.ndarray) -> np.ndarray:
         zeros += (zeros == 4 * (3 - i)) * trailing[groups[:, i]]
     form = np.where((x >= -4) & (x < 17), x + 4, np.where(abs(x) < 100, 21, 22))
     code = ((v < 0) * 17 + 16 - zeros) * _FORMS + form
-    # the gather below is the peak: let go of what it does not read
-    del magnitude, integer, x, groups, zeros, form
+    # the gather below, the peak, reads only source and code
+    del integer, x, groups, zeros, form
     present = np.flatnonzero(np.bincount(code))
-    # an int32 index, half the size of an intp one; fancy indexing reads it
-    # as it is, where np.take would convert all of it to intp first
-    layouts = np.zeros((present[-1] + 1, _NUMBER_WIDTH), dtype=np.int32)
+    layouts = np.zeros((present[-1] + 1, _NUMBER_WIDTH), dtype=np.uint16)
     layouts[present] = [_layout(c) for c in present.tolist()]
-    index = layouts[code]
-    index += np.arange(0, source.size, source.shape[1], dtype=np.int32)[:, None]
-    cells = source.ravel()[index].view(f"S{_NUMBER_WIDTH}").ravel()
+    cells = np.empty((v.size, _NUMBER_WIDTH), dtype=np.uint8)
+    # np.take reads a flat index into the rows of source it is given; every
+    # index is in range, and mode="clip" keeps it from buffering its output
+    for rows in (slice(s, s + _GATHER_ROWS) for s in range(0, v.size, _GATHER_ROWS)):
+        index = layouts[code[rows]]
+        index += np.arange(0, source[rows].size, _NUL + 1, dtype=np.uint16)[:, None]
+        np.take(source[rows], index, out=cells[rows], mode="clip")
+    cells = cells.view(f"S{_NUMBER_WIDTH}").ravel()
     fallback = np.flatnonzero(special | ~decided)
     cells[fallback] = [b"%.17g" % f for f in v[fallback].tolist()]
     return cells
@@ -366,12 +391,15 @@ def _row_blocks(data: list, quote, lead: bytes, end: bytes):
     cells joined by commas, then `end`.
 
     A column is plain, an array of numbers, or factored, a pair of its
-    values and each row's index into them. A factored column's values are
-    formatted once, numbers by _number_cells and labels (a list) by `quote`,
-    and each block gathers its cells from them; a plain column's cells are
-    made per block by _g17_cells. The text is %.17g's byte for byte, from
-    digits computed exactly enough to decide their rounding, with
-    b"%.17g" % v for the values where they cannot (see _decimal_digits).
+    values and each row's index into them. An index is anything with a
+    size, its row count, whose slice start:stop is an array of those rows'
+    indices: an explicit array, or a _Strided index, which makes each
+    block's slice when it is read. A factored column's values are formatted
+    once, numbers by _number_cells and labels (a list) by `quote`, and each
+    block gathers its cells from them; a plain column's cells are made per
+    block by _g17_cells. The text is %.17g's byte for byte, from digits
+    computed exactly enough to decide their rounding, with b"%.17g" % v for
+    the values where they cannot (see _decimal_digits).
 
     A block is a bytearray, written through a uint8 matrix view with one
     fixed-width slot per cell. It is allocated once the block's plain cells
@@ -412,7 +440,9 @@ def _row_blocks(data: list, quote, lead: bytes, end: bytes):
                 text = column[0][column[1][start:stop]]
             block[:, slot] = text.view(np.uint8).reshape(stop - start, -1)
         del plain, text, block
-        yield chunk.translate(None, b"\0").decode()
+        chunk = chunk.translate(None, b"\0")
+        chunk = chunk.decode()
+        yield chunk
         del chunk
 
 

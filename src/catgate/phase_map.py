@@ -30,18 +30,18 @@ _MAX_SAMPLES = 5_000_000
 class DiskImage:
     """Mapped samples of an uncertainty disk, split by branch.
 
-    Each of source, upper and lower is a (q, p) pair of equal-length arrays.
-    upper and lower collect the p + sqrt(D) and p - sqrt(D) images; a
+    source is a (q, p) pair of equal-length arrays: the input samples in
+    generation order, for plotting the preimage next to its images. upper
+    and lower hold the momenta of the p + sqrt(D) and p - sqrt(D) images; a
     tangency point (single branch) goes to upper. Both keep the order of
-    their preimages in source. dropped counts samples with no image. source
-    keeps the input samples in generation order, for plotting the preimage
-    next to its images, and preimage holds the rows of source that upper's
-    and lower's images come from: the gate keeps q, so upper's q is
-    source's q at preimage[0] and lower's at preimage[1].
+    their preimages in source. preimage holds the rows of source that
+    upper's and lower's images come from: the gate keeps q, so upper's q is
+    source[0][preimage[0]] and lower's source[0][preimage[1]]. dropped
+    counts samples with no image.
     """
 
-    upper: tuple[np.ndarray, np.ndarray] = field(repr=False)
-    lower: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    upper: np.ndarray = field(repr=False)
+    lower: np.ndarray = field(repr=False)
     dropped: int
     source: tuple[np.ndarray, np.ndarray] = field(repr=False)
     preimage: tuple[np.ndarray, np.ndarray] = field(repr=False)
@@ -111,8 +111,8 @@ def map_disk(
     count, p_lower, p_upper = map_point(params, q, p)
     hit, two = np.flatnonzero(count > 0), np.flatnonzero(count == 2)
     return DiskImage(
-        upper=(q[hit], p_upper[hit]),
-        lower=(q[two], p_lower[two]),
+        upper=p_upper[hit],
+        lower=p_lower[two],
         dropped=int(np.count_nonzero(count == 0)),
         source=(q, p),
         preimage=(hit, two),

@@ -391,6 +391,17 @@ def _cat_fidelity_table():
     return argv, echo, ["n", "y_m", "x0", "p0", "F_cat"], rows, {}
 
 
+def _fidelity_scan_table():
+    # 15 rows of a product whose outer axis x0 steps every 5 rows, with two
+    # constant columns, y_m and p0: blocks of 7 and 13 rows start inside a
+    # step, and each block reads the one value of a constant column
+    argv = ["fidelity-scan", "--n", "1:5", "--x0", "0,0.5,1", "--ym", "0.25", "--p0=-0.5"]
+    rows = [[n, 0.25, x0, -0.5, fidelity_scl_scan(n, 0.25, x0, -0.5)]
+            for x0 in (0.0, 0.5, 1.0) for n in range(1, 6)]
+    echo = {"n": [1, 2, 3, 4, 5], "x0": [0.0, 0.5, 1.0], "y_m": 0.25, "p0": -0.5}
+    return argv, echo, ["n", "y_m", "x0", "p0", "F_scl"], rows, {}
+
+
 def _wigner_table():
     argv = ["wigner", "--n", "2", "--x0", "0.5", "--p0", "-0.3", "--ym", "0.2", "--engine",
             "both", "--with-cat", "--x-range=-3:4:15", "--p-range=-4:4:13"]
@@ -416,13 +427,15 @@ def _scl_map_table():
     # the disk center is a tangency point and its left half has no image
     argv = ["scl-map", "--n", "0", "--ym", "1", "--x0", "0", "--p0", "5", "--samples", "9"]
     disk = map_disk(GateParams(0, 1.0), (0.0, 5.0), 1.0, 9)
+    (q, p), (upper, lower) = disk.source, disk.preimage
     rows = []
-    for label, (qs, ps) in (("source", disk.source), ("upper", disk.upper), ("lower", disk.lower)):
+    for label, (qs, ps) in (("source", (q, p)), ("upper", (q[upper], disk.upper)),
+                            ("lower", (q[lower], disk.lower))):
         rows += [[label, float(q), float(p)] for q, p in zip(qs, ps)]
-    assert disk.dropped > 0 and disk.upper[0].size > disk.lower[0].size
+    assert disk.dropped > 0 and q[upper].size > q[lower].size
     echo = {"n": 0, "y_m": 1.0, "x0": 0.0, "p0": 5.0, "radius": 1.0, "samples": 9}
-    metadata = {"dropped": disk.dropped, "upper_count": disk.upper[0].size,
-                "lower_count": disk.lower[0].size}
+    metadata = {"dropped": disk.dropped, "upper_count": q[upper].size,
+                "lower_count": q[lower].size}
     return argv, echo, ["branch", "q", "p"], rows, metadata
 
 
@@ -497,6 +510,7 @@ _TABLES = [
     _mixed_fidelity_table,
     _signed_zero_table,
     _cat_fidelity_table,
+    _fidelity_scan_table,
     _digit_layouts_table,
     _large_outcome_table,
 ]
@@ -607,7 +621,7 @@ def test_render_memory_does_not_grow_with_the_table(fmt, monkeypatch):
 
 def test_render_memory_of_plain_columns_is_one_block():
     # a block's cells, matrix and text go before the next block is formatted, so
-    # four blocks of two plain columns peak where one does: 1.77 MB
+    # four blocks of two plain columns peak where one does: 0.52 MB
     rows = catgate.cli._BLOCK_ROWS
     rng = np.random.default_rng(3)
     peaks = []
@@ -623,6 +637,53 @@ def test_render_memory_of_plain_columns_is_one_block():
         finally:
             tracemalloc.stop()
     assert peaks[2] <= peaks[1] + 64e3
+
+
+def _table_peak_beyond_values(argv: list[str]) -> int:
+    """Largest traced allocation while the handler of `argv` computes its
+    data and its CSV table is rendered, less the bytes of the plain columns
+    (the values it computed)."""
+    parameters = vars(build_parser().parse_args(argv))
+    command = parameters.pop("command")
+    for key in ("out", "format", "timings"):
+        parameters.pop(key)
+    tracemalloc.start()
+    try:
+        columns, data, _ = catgate.cli._HANDLERS[command](parameters)
+        values = sum(column.nbytes for column in data if not isinstance(column, tuple))
+        with open(os.devnull, "w") as stream:
+            for chunk in catgate.cli._render_csv(columns, data):
+                stream.write(chunk)
+                del chunk
+        return tracemalloc.get_traced_memory()[1] - values
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_memory_beyond_the_map_does_not_grow():
+    # the x and p columns' indices are made a block at a time: 16 times the
+    # rows, the same peak beyond the map's own bytes (an index as long as
+    # the table would add 2.4 MB here)
+    peaks = []
+    for count in (201, 201, 801):  # the first run fills the formatter's caches
+        argv = ["wigner", "--n", "10", f"--x-range=-6:6:{count}", f"--p-range=-9:9:{count}"]
+        peaks.append(_table_peak_beyond_values(argv))
+    assert peaks[2] < peaks[1] + 256e3
+
+
+def test_g17_cells_peak_per_value():
+    # the formatter forms its steps over arrays it has spent and gathers the
+    # cells a few hundred at a time: 80 bytes a value at 8192 values
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(8192) * 10.0 ** rng.integers(-6, 6, 8192)
+    catgate.cli._g17_cells(values)  # fills the formatter's caches
+    tracemalloc.start()
+    try:
+        catgate.cli._g17_cells(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 88 * values.size
 
 
 def test_wigner_large_n_default_axes_keep_mass(capsys):

@@ -120,23 +120,24 @@ def test_disk_lattice_order(samples):
 def test_disk_image_centroids_straddle_resource_circle():
     im = map_disk(GateParams(4, 3.0), (3.0, 3.0), 1.0, 256)
     assert im.dropped == 0
-    assert im.upper[0].size == im.lower[0].size == 256
-    np.testing.assert_allclose(np.mean(im.upper[0]), 3.0, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(np.mean(im.upper[1]), 6.0, rtol=0, atol=0.15)
-    np.testing.assert_allclose(np.mean(im.lower[1]), 0.0, rtol=0, atol=0.15)
+    upper_q = im.source[0][im.preimage[0]]
+    assert upper_q.size == im.source[0][im.preimage[1]].size == 256
+    np.testing.assert_allclose(np.mean(upper_q), 3.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.mean(im.upper), 6.0, rtol=0, atol=0.15)
+    np.testing.assert_allclose(np.mean(im.lower), 0.0, rtol=0, atol=0.15)
 
 
 def test_disk_far_from_band_is_fully_dropped():
     im = map_disk(GateParams(0, 10.0), (0.0, 0.0), 1.0, 64)
     assert im.dropped == 64
-    assert im.upper[0].size == im.lower[0].size == 0
+    assert im.source[0][im.preimage[0]].size == im.source[0][im.preimage[1]].size == 0
 
 
 def test_disk_partial_overlap_counts_are_consistent():
     im = map_disk(GateParams(0, 0.9), (0.0, 0.0), 1.0, 256)
     assert 0 < im.dropped < 256
-    two_branch = im.lower[0].size
-    tangent = im.upper[0].size - two_branch
+    two_branch = im.source[0][im.preimage[1]].size
+    tangent = im.source[0][im.preimage[0]].size - two_branch
     assert two_branch + tangent + im.dropped == 256
 
 
@@ -156,16 +157,17 @@ def test_disk_images_keep_source_order():
             lower.append((q, p - np.sqrt(disc)))
             upper.append((q, p + np.sqrt(disc)))
     assert tangent > 0 and dropped == im.dropped > 0
-    np.testing.assert_allclose(np.array(im.upper).T, upper, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(np.array(im.lower).T, lower, rtol=0, atol=1e-15)
+    for image, rows, expected in zip((im.upper, im.lower), im.preimage, (upper, lower)):
+        pairs = np.column_stack([im.source[0][rows], image])
+        np.testing.assert_allclose(pairs, expected, rtol=0, atol=1e-15)
 
 
 def test_map_disk_is_deterministic():
     first = map_disk(GateParams(3, 1.0), (0.5, -0.5), 1.2, 100)
     second = map_disk(GateParams(3, 1.0), (0.5, -0.5), 1.2, 100)
     assert first.dropped == second.dropped
-    for a, b in zip((first.source, first.upper, first.lower),
-                    (second.source, second.upper, second.lower)):
+    for a, b in zip((first.source, first.upper, first.lower, first.preimage),
+                    (second.source, second.upper, second.lower, second.preimage)):
         np.testing.assert_array_equal(a, b)
 
 
@@ -208,7 +210,9 @@ def test_preimage_rows_give_each_image_its_q(params, center, samples):
     upper, lower = disk.preimage
     assert 0 < lower.size <= upper.size < q.size and disk.dropped > 0
     assert np.all(np.diff(upper) > 0) and np.all(np.diff(lower) > 0)
-    assert np.array_equal(q[upper], disk.upper[0]) and np.array_equal(q[lower], disk.lower[0])
-    _, p_lower, p_upper = map_point(params, q, p)
-    assert np.array_equal(p_upper[upper], disk.upper[1])
-    assert np.array_equal(p_lower[lower], disk.lower[1])
+    count, p_lower, p_upper = map_point(params, q, p)
+    # the rows of every sample with an image, and of every sample with two
+    assert np.array_equal(upper, np.flatnonzero(count > 0))
+    assert np.array_equal(lower, np.flatnonzero(count == 2))
+    assert np.array_equal(p_upper[upper], disk.upper)
+    assert np.array_equal(p_lower[lower], disk.lower)
