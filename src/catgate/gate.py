@@ -154,16 +154,13 @@ def semiclassical_output(params: GateParams, state: WaveFunctionGrid) -> WaveFun
 class TaylorPhase:
     """First-order data of the branch phase at an expansion center.
 
-    phi(x) ~ theta0 + p_plus (x - center) + dp_plus (x - center)^2 for the
-    upper branch; the lower branch is the complex conjugate pattern.
-    dp_plus is half the local shear d^2 phi/dx^2. Fields are floats for a
-    scalar center and arrays of the center's shape for an array center.
+    phi(x) ~ theta0 + p_plus (x - center) for the upper branch; the lower
+    branch is the complex conjugate pattern. Fields are floats for a scalar
+    center and arrays of the center's shape for an array center.
     """
 
-    center: float | np.ndarray
     theta0: float | np.ndarray
     p_plus: float | np.ndarray
-    dp_plus: float | np.ndarray
 
 
 def taylor_phase(params: GateParams, center) -> TaylorPhase:
@@ -186,10 +183,9 @@ def taylor_phase(params: GateParams, center) -> TaylorPhase:
         )
     p_plus = np.sqrt(disc)
     theta0 = phase_function(params.n, u / params.radius)
-    dp_plus = -u / (2.0 * p_plus)
     if c.ndim == 0:
-        return TaylorPhase(float(c), float(theta0), float(p_plus), float(dp_plus))
-    return TaylorPhase(c, theta0, p_plus, dp_plus)
+        return TaylorPhase(float(theta0), float(p_plus))
+    return TaylorPhase(theta0, p_plus)
 
 
 def perfect_cat(params: GateParams, inp: CoherentParams) -> CatSuperposition:
@@ -197,13 +193,11 @@ def perfect_cat(params: GateParams, inp: CoherentParams) -> CatSuperposition:
 
     Built by linearizing the branch phase at x = y_m, the one point where the
     shear term vanishes identically: each branch then displaces the input
-    momentum by +/- sqrt(2n+1) and the relative phase collapses to
-    theta = sqrt(2n+1) (x0/2 - y_m). The component parity sign is (-1)^n.
+    momentum by +/- r, r = sqrt(2n+1), with the carrier phase
+    c = r (x - y_m) = theta + r (x - x0), theta = -r (y_m - x0). theta is
+    formed from the offset, so it keeps its digits however far the input
+    lies from the origin. The component parity sign is (-1)^n.
     """
     r = params.radius
-    return CatSuperposition(
-        alpha_plus=complex(inp.x0, inp.p0 + r) / np.sqrt(2.0),
-        alpha_minus=complex(inp.x0, inp.p0 - r) / np.sqrt(2.0),
-        phase_theta=r * (0.5 * inp.x0 - params.y_m),
-        parity_sign=-1 if params.n % 2 else 1,
-    )
+    return CatSuperposition(x0=inp.x0, p0=inp.p0, r=r, theta=-r * (params.y_m - inp.x0),
+                            parity_sign=-1 if params.n % 2 else 1)

@@ -41,9 +41,9 @@ import numpy as np
 
 from .errors import ConvergenceError, SingularShearError, ZeroProbabilityError
 from .gate import (GateParams, _central_binomials, _require_density, exact_output,
-                   outcome_norm, semiclassical_output, taylor_phase)
+                   outcome_norm, perfect_cat, semiclassical_output, taylor_phase)
 from .numerics import _RESCALE_STEPS, Grid1D, _poisson_weights, _rescale, integration_weights
-from .states import CoherentParams, WaveFunctionGrid, coherent_wavefunction, overlap
+from .states import CoherentParams, WaveFunctionGrid, _cat_norm, coherent_wavefunction, overlap
 
 __all__ = [
     "scan_grid",
@@ -90,14 +90,15 @@ def fidelity_cat_scan(n: int, y_m: float, x0: float, p0: float = 0.0) -> float:
     """Fidelity between the exact gate output and the ideal cat, in closed form.
 
     Coherent input (x0, p0), outcome y_m. The ideal cat of gate.perfect_cat
-    has the components psi_in e^{+/- i r (x - y_m)}, r = sqrt(2n+1), so its
-    overlap with the output is _overlap_sq with the carrier k = r and
-    theta0 = -r Delta, Delta = y_m - x0, and F_cat = min(_overlap_sq / P, 1)
-    with P the outcome density. No grid is sampled, and the result depends
-    on (n, Delta) alone: p0 is only checked, and at y_m = x0 every x0 gives
-    the same double. Against 40-digit arithmetic it is off by 1.6e-16 at
-    n = 1 and 9.6e-16 at n = 15. An outcome whose density is below 1e-300
-    raises ZeroProbabilityError. The overlap and P are scaled by powers of
+    has the components psi_in e^{+/- ic}, c = theta + r (x - x0), so its
+    overlap with the output is _overlap_sq with the cat's carrier k = r and
+    theta0 = theta = -r Delta, Delta = y_m - x0, and
+    F_cat = min(_overlap_sq / P, 1) with P the outcome density; the cat is
+    built only once P has passed _require_density. No grid is sampled, and
+    the result depends on (n, Delta) alone: p0 is only checked, and at
+    y_m = x0 every x0 gives the same double. Against 40-digit arithmetic it
+    is off by 1.6e-16 at n = 1 and 9.6e-16 at n = 15. An outcome whose
+    density is below 1e-300 raises ZeroProbabilityError. The overlap and P are scaled by powers of
     two before the overlap is squared, so F_cat stays a normal double where
     the product P F_cat is below the double range: at (n, y_m, x0) =
     (1, 36, 0), P = 9.8e-280 and F_cat = 9.236e-95 to 1e-13. It keeps
@@ -105,15 +106,15 @@ def fidelity_cat_scan(n: int, y_m: float, x0: float, p0: float = 0.0) -> float:
     at (300, 40, 0) it gives 7.177628583036402e-125, 8.4e-14 from the
     7.1776285830358e-125 of 80-digit arithmetic and a 160-digit quadrature.
     """
-    r = GateParams(n, y_m).radius
-    CoherentParams(x0, p0)  # checks the input, which F_cat does not depend on
-    delta = y_m - x0
+    params = GateParams(n, y_m)
+    inp = CoherentParams(x0, p0)
     dens = outcome_density(n, x0, y_m)
     _require_density(dens, y_m, x0)
+    cat = perfect_cat(params, inp)
     # the overlap and P scaled by 2^shift and 4^shift, exactly, which brings
     # P into [1/2, 2): the squared overlap, P F_cat, does not underflow then
     shift = -(math.frexp(dens)[1] // 2)
-    overlap_sq = float(_overlap_sq(n, np.array([delta]), r, -r * delta, shift)[0])
+    overlap_sq = float(_overlap_sq(n, np.array([y_m - x0]), cat.r, cat.theta, shift)[0])
     return min(overlap_sq / math.ldexp(dens, 2 * shift), 1.0)
 
 
@@ -227,20 +228,20 @@ def _overlap_sq(n: int, d: np.ndarray, k, theta0, shift: int = 0) -> np.ndarray:
     """|<cat|psi~>|^2 4^shift for outcome offsets d = y - x0, from the Hermite
     generating function.
 
-    The cat is psi_in (e^{ic} + s e^{-ic}) / sqrt(N), c = theta0 + k (u + d)
-    in the outcome frame u = x - y, s = (-1)^n, with the carrier data k and
-    theta0 given per offset (arrays of d's shape) or shared (scalars):
-    mixed_fidelity passes the branch-phase Taylor data at x0, and
-    fidelity_cat_scan the ideal cat's k = sqrt(2n+1), theta0 = -k d. Its
-    conjugate is e^{-ic} + s e^{ic}, so the overlap is X + s conj(X) =
-    2 Re X (n even) or 2i Im X (n odd), with
+    The cat is states.CatSuperposition's psi_in (e^{ic} + s e^{-ic}) / sqrt(N),
+    c = theta0 + k (x - x0) = theta0 + k (u + d) in the outcome frame
+    u = x - y, s = (-1)^n, with the carrier data k and theta0 given per
+    offset (arrays of d's shape) or shared (scalars): mixed_fidelity passes
+    the branch-phase Taylor data at x0, and fidelity_cat_scan the fields
+    r and theta of gate.perfect_cat. Its conjugate is e^{-ic} + s e^{ic}, so
+    the overlap is X + s conj(X) = 2 Re X (n even) or 2i Im X (n odd), with
 
         X = e^{-i(theta0 + k d)} T(k),
         T(k) = pi^{-1/2} int e^{-(u+d)^2} e^{-iku} h_n(u) du
              = sqrt(2/3) pi^{-1/4} e^{w^2/6 - d^2} g_n,   w = 2d + ik,
 
-    since h_n is real, the other branch is T(-k) = conj T(k), and
-    N = 2 + 2 s e^{-k^2} cos(2 theta0). Here
+    since h_n is real, the other branch is T(-k) = conj T(k), and N is
+    states._cat_norm(s, k, theta0) = 2 + 2 s e^{-k^2} cos(2 theta0). Here
     g_m = sqrt(m!) [t^m] e^{at - t^2/6} with a = -sqrt(2) w/3, so that
     g_m = a g_{m-1}/sqrt(m) - g_{m-2} sqrt((m-1)/m)/3 from g_0 = 1: n steps
     over all offsets at once, O(n) work per offset. Each step multiplies by
@@ -272,10 +273,8 @@ def _overlap_sq(n: int, d: np.ndarray, k, theta0, shift: int = 0) -> np.ndarray:
     expo = binexp * math.log(2.0) - (2.0 * d * d + k * k) / 6.0
     phase = theta0 + k * d / 3.0
     x = np.exp(expo - 1j * phase) * g * (math.sqrt(2.0 / 3.0) * math.pi**-0.25)
-    sign = -1.0 if n % 2 else 1.0
     part = np.ldexp(x.imag if n % 2 else x.real, shift)
-    norm = 2.0 + 2.0 * sign * np.exp(-k * k) * np.cos(2.0 * theta0)
-    return 4.0 * part**2 / norm
+    return 4.0 * part**2 / _cat_norm(-1 if n % 2 else 1, k, theta0)
 
 
 def mixed_fidelity(n: int, x0: float, width: float) -> float:

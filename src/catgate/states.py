@@ -2,11 +2,11 @@
 
 Conventions (hbar = 1, [q, p] = i):
 
-    <x|alpha> = pi^{-1/4} exp(-(x - x0)^2 / 2 + i p0 x - i p0 x0 / 2)
+    psi_in(x) = pi^{-1/4} exp(-(x - x0)^2 / 2 + i p0 x - i p0 x0 / 2)
 
-with alpha = (x0 + i p0)/sqrt(2), so |<x|alpha>|^2 integrates to one and the
-mean quadratures are exactly (x0, p0). Every phase downstream (cat assembly,
-gate output) relies on this convention, so it is fixed here once.
+for the coherent state of mean quadratures (x0, p0), so |psi_in|^2 integrates
+to one. Every phase downstream (cat assembly, gate output) relies on this
+convention, so it is fixed here once.
 """
 
 from __future__ import annotations
@@ -44,14 +44,6 @@ class CoherentParams:
         if not (math.isfinite(self.x0) and math.isfinite(self.p0)):
             raise ValueError("coherent-state quadratures must be finite")
 
-    @property
-    def alpha(self) -> complex:
-        return (self.x0 + 1j * self.p0) / np.sqrt(2.0)
-
-    @classmethod
-    def from_alpha(cls, alpha: complex) -> "CoherentParams":
-        return cls(np.sqrt(2.0) * alpha.real, np.sqrt(2.0) * alpha.imag)
-
 
 @dataclass(frozen=True)
 class WaveFunctionGrid:
@@ -75,39 +67,38 @@ class WaveFunctionGrid:
 
 @dataclass(frozen=True)
 class CatSuperposition:
-    """Analytic description of e^{i theta}|alpha_+> + s e^{-i theta}|alpha_->.
+    """Analytic description of psi_in(x) (e^{ic} + s e^{-ic}) / sqrt(N),
+    c = theta + r (x - x0).
 
-    parity_sign is s = +/-1. norm_factor is derived on construction from the
-    coherent overlap, N = 2 + 2 Re[s e^{-2i theta} <alpha_+|alpha_->], so the
-    assembled wavefunction divided by sqrt(N) has unit norm.
+    psi_in is the coherent state at (x0, p0), so the two components sit at
+    (x0, p0 +/- r). parity_sign is s = +/-1. norm_factor is
+    N = 2 + 2 s e^{-r^2} cos(2 theta) (_cat_norm), so the assembled
+    wavefunction divided by sqrt(N) has unit norm.
     """
 
-    alpha_plus: complex
-    alpha_minus: complex
-    phase_theta: float
+    x0: float
+    p0: float
+    r: float
+    theta: float
     parity_sign: int
-    norm_factor: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.parity_sign not in (-1, 1):
             raise ValueError("parity_sign must be +1 or -1")
-        cross = self.parity_sign * np.exp(
-            -2j * self.phase_theta + _overlap_exponent(self.alpha_plus, self.alpha_minus)
-        )
-        object.__setattr__(self, "norm_factor", float(2.0 + 2.0 * cross.real))
+
+    @property
+    def norm_factor(self) -> float:
+        return float(_cat_norm(self.parity_sign, self.r, self.theta))
 
 
-def _overlap_exponent(alpha: complex, beta: complex) -> complex:
-    """log <alpha|beta> = -|alpha - beta|^2/2 + i Im(conj(alpha) beta).
-
-    This form does not cancel: -|alpha|^2/2 - |beta|^2/2 + conj(alpha) beta
-    is the same number, but its real part loses every digit once |alpha|^2
-    is 1e16 times |alpha - beta|^2."""
-    return -0.5 * abs(alpha - beta) ** 2 + 1j * (np.conj(alpha) * beta).imag
+def _cat_norm(s, k, theta):
+    """N = 2 + 2 s e^{-k^2} cos(2 theta) = int |psi_in|^2 |e^{ic} + s e^{-ic}|^2 dx
+    for c = theta + k (x - x0); scalar or array k and theta."""
+    return 2.0 + 2.0 * s * np.exp(-k * k) * np.cos(2.0 * theta)
 
 
 def coherent_wavefunction(params: CoherentParams, grid: Grid1D) -> WaveFunctionGrid:
-    """Sample <x|alpha> for alpha given by `params` on `grid`.
+    """Sample the coherent state psi_in of `params` on `grid`.
 
     The grid must cover [x0 - 8, x0 + 8] so the neglected tails stay below
     1e-14 of the peak.
@@ -150,12 +141,10 @@ def assemble_cat(cat: CatSuperposition, grid: Grid1D) -> WaveFunctionGrid:
     """
     if cat.norm_factor < 1e-10:
         raise ZeroStateError("cat components cancel; the state has no norm")
-    plus = coherent_wavefunction(CoherentParams.from_alpha(cat.alpha_plus), grid)
-    minus = coherent_wavefunction(CoherentParams.from_alpha(cat.alpha_minus), grid)
-    values = (
-        np.exp(1j * cat.phase_theta) * plus.values
-        + cat.parity_sign * np.exp(-1j * cat.phase_theta) * minus.values
-    ) / np.sqrt(cat.norm_factor)
+    psi_in = coherent_wavefunction(CoherentParams(cat.x0, cat.p0), grid)
+    c = cat.theta + cat.r * (grid.xs - cat.x0)
+    values = psi_in.values * (np.exp(1j * c) + cat.parity_sign * np.exp(-1j * c))
+    values /= np.sqrt(cat.norm_factor)
     state = WaveFunctionGrid(grid, values)
     norm = state.norm()
     if abs(norm - 1.0) > 1e-6:

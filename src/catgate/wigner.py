@@ -25,8 +25,8 @@ than the direct quadrature
     W(x, p) = (1/pi) int conj(psi(x+z)) psi(x-z) e^{2ipz} dz,
 
 which is kept as the oracle for arbitrary states. The ideal cat's map,
-wigner_cat_reference, is a closed form too: a sum of four complex
-Gaussians, one per pair of coherent components.
+wigner_cat_reference, is a closed form too: two real Gaussians, one per
+component, and one fringe term, all in offsets from the input's (x0, p0).
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import GridCoverageError
 from .gate import GateParams, _central_binomials, _require_density, exact_output, outcome_norm
 from .numerics import Grid1D, _hermite_orders, _poisson_weights, integration_weights
-from .states import (CatSuperposition, CoherentParams, WaveFunctionGrid, _overlap_exponent,
-                     coherent_wavefunction)
+from .states import CatSuperposition, CoherentParams, WaveFunctionGrid, coherent_wavefunction
 
 __all__ = [
     "WignerGrid",
@@ -299,45 +298,26 @@ def wigner_output_quadrature(
 
 
 def wigner_cat_reference(cat: CatSuperposition, x_axis: Grid1D, p_axis: Grid1D) -> WignerGrid:
-    """Wigner map of a cat e^{i theta}|alpha_+> + s e^{-i theta}|alpha_->, in
-    closed form, for side-by-side comparison plots.
+    """Wigner map of the cat psi_in (e^{ic} + s e^{-ic}) / sqrt(N),
+    c = theta + r (x - x0), in closed form, for side-by-side comparison plots.
 
-    Everything is measured from the cat's centre c = (alpha_+ + alpha_-)/2,
-    at quadratures (x_c, p_c) = sqrt(2) (Re c, Im c). Since
-    |c + d> = e^{-i Im(c conj d)} D(c)|d>, the map is that of the centred
-    components d_j = alpha_j - c, shifted to (x_c, p_c), with amplitudes
-    a_j = (e^{i theta}, s e^{-i theta})_j e^{-i Im(c conj d_j)}. With
-    g = (x - x_c + i(p - p_c))/sqrt(2) and N = cat.norm_factor, each
-    |d_j><d_l| contributes a complex Gaussian:
+    With x~ = x - x0, p~ = p - p0 and N = cat.norm_factor, each component is
+    the coherent input displaced to p0 +/- r, and the cross terms are the
+    input's own Gaussian times e^{+/-2ic}:
 
-        W = sum_{j,l} a_j conj(a_l) <d_l|d_j> e^{-2 conj(g - d_l) (g - d_j)} / (pi N),
+        W = e^{-x~^2} [e^{-(p~-r)^2} + e^{-(p~+r)^2} + 2 s e^{-p~^2} cos 2(theta + r x~)] / (pi N).
 
-    <d_l|d_j> = e^{-|d_j - d_l|^2/2 + i Im(conj(d_l) d_j)}, from
-    states._overlap_exponent, which N takes its cross term from too. Its
-    exponent joins the Gaussian's, and their sum has real part
-    -2 |g - (d_j + d_l)/2|^2, so no factor overflows however far apart the
-    components are. Every Gaussian argument is of the order of the axes'
-    distance from the centre, and the displacement phase, taken in
-    quadratures as (x_c q_j - p_c u_j)/2 for d_j = (u_j + i q_j)/sqrt(2),
-    cancels theta's rounding wherever sqrt(2) Re c gives back the x0 the cat
-    was built from: far from the origin the map keeps the digits of the map
-    at the origin. No state is sampled and nothing is integrated.
+    Every argument is formed from offsets to the cat's centre, and theta is
+    formed from the offset y_m - x0 (gate.perfect_cat), so far from the
+    origin the map keeps the digits of the map at the origin, and nothing
+    overflows however far apart the components are. No state is sampled
+    and nothing is integrated.
     """
-    root2 = np.sqrt(2.0)
-    centre = 0.5 * (cat.alpha_plus + cat.alpha_minus)
-    x_c, p_c = root2 * centre.real, root2 * centre.imag
-    g = ((x_axis.xs - x_c)[:, None] + 1j * (p_axis.xs - p_c)) / root2
-    terms = []
-    for sign, theta, alpha in ((1, cat.phase_theta, cat.alpha_plus),
-                               (cat.parity_sign, -cat.phase_theta, cat.alpha_minus)):
-        d = alpha - centre
-        shift = 0.5 * (x_c * (root2 * d.imag) - p_c * (root2 * d.real))
-        terms.append((sign * np.exp(1j * (theta + shift)), d))
-    values = sum(
-        a * np.conj(b) * np.exp(
-            -2.0 * np.conj(g - beta) * (g - alpha) + _overlap_exponent(beta, alpha)
-        )
-        for a, alpha in terms
-        for b, beta in terms
-    )
-    return WignerGrid(x_axis, p_axis, values.real / (np.pi * cat.norm_factor))
+    x_t = (x_axis.xs - cat.x0)[:, None]
+    p_t = p_axis.xs - cat.p0
+    # the one (nx, np) array, built in place from an x column and p rows
+    values = 2.0 * cat.parity_sign * np.exp(-p_t * p_t) * np.cos(2.0 * (cat.theta + cat.r * x_t))
+    values += np.exp(-((p_t - cat.r) ** 2)) + np.exp(-((p_t + cat.r) ** 2))
+    values *= np.exp(-x_t * x_t)
+    values /= np.pi * cat.norm_factor
+    return WignerGrid(x_axis, p_axis, values)

@@ -143,7 +143,6 @@ def test_taylor_phase_closed_forms(n, y_m, center):
     np.testing.assert_allclose(
         tp.theta0, phase_function(n, u / np.sqrt(r2)), rtol=1e-14
     )
-    np.testing.assert_allclose(tp.dp_plus, -u / (2.0 * np.sqrt(r2 - u * u)), rtol=1e-12)
 
 
 def test_taylor_phase_singular_at_turning_point():
@@ -157,7 +156,7 @@ def test_taylor_phase_array_matches_scalar_calls():
     params = GateParams(7, 0.4)
     centers = np.linspace(-3.0, 3.5, 53).reshape(1, 53)
     tp = taylor_phase(params, centers)
-    for field in ("center", "theta0", "p_plus", "dp_plus"):
+    for field in ("theta0", "p_plus"):
         values = getattr(tp, field)
         assert values.shape == centers.shape
         scalar = [getattr(taylor_phase(params, c), field) for c in centers.ravel()]
@@ -175,7 +174,7 @@ def test_taylor_phase_array_rejects_any_bad_center():
 
 def test_taylor_phase_scalar_center_gives_floats():
     tp = taylor_phase(GateParams(3, 0.2), np.float64(1.1))
-    assert all(type(v) is float for v in (tp.center, tp.theta0, tp.p_plus, tp.dp_plus))
+    assert all(type(v) is float for v in (tp.theta0, tp.p_plus))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -184,11 +183,8 @@ def test_perfect_cat_components(n):
     inp = CoherentParams(1.1, -0.4)
     cat = perfect_cat(params, inp)
     r = params.radius
-    np.testing.assert_allclose(
-        cat.alpha_plus, complex(1.1, -0.4 + r) / np.sqrt(2.0), rtol=1e-15
-    )
-    np.testing.assert_allclose(
-        cat.alpha_minus, complex(1.1, -0.4 - r) / np.sqrt(2.0), rtol=1e-15
-    )
-    np.testing.assert_allclose(cat.phase_theta, r * (0.55 - 0.7), rtol=1e-12)
+    assert (cat.x0, cat.p0, cat.r) == (1.1, -0.4, r)
     assert cat.parity_sign == (-1) ** n
+    # the carrier theta + r (x - x0) is the branch phase linearized at y_m, r (x - y_m)
+    x = np.linspace(-3.0, 5.0, 17)
+    np.testing.assert_allclose(cat.theta + r * (x - 1.1), r * (x - 0.7), rtol=0, atol=1e-13)

@@ -18,13 +18,6 @@ from catgate.states import (
 )
 
 
-def test_alpha_round_trip():
-    p = CoherentParams(1.5, -0.75)
-    assert p.alpha == complex(1.5, -0.75) / np.sqrt(2.0)
-    q = CoherentParams.from_alpha(p.alpha)
-    np.testing.assert_allclose((q.x0, q.p0), (1.5, -0.75), rtol=1e-15)
-
-
 @pytest.mark.parametrize("x0, p0", [(0.0, 0.0), (2.0, 0.0), (-1.0, 3.0), (4.0, -2.5)])
 def test_coherent_unit_norm(x0, p0):
     grid = scan_grid(0, x0, x0)
@@ -47,9 +40,9 @@ def test_coherent_overlap_matches_closed_form():
     a = CoherentParams(0.4, 1.1)
     b = CoherentParams(-0.9, 0.3)
     got = overlap(coherent_wavefunction(a, grid), coherent_wavefunction(b, grid))
-    alpha, beta = a.alpha, b.alpha
+    # <a|b> in quadratures, for the phase convention psi(x) ~ e^{i p0 (x - x0/2)}
     expected = np.exp(
-        -0.5 * abs(alpha) ** 2 - 0.5 * abs(beta) ** 2 + np.conj(alpha) * beta
+        -((a.x0 - b.x0) ** 2 + (a.p0 - b.p0) ** 2) / 4.0 + 0.5j * (a.x0 * b.p0 - a.p0 * b.x0)
     )
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -77,32 +70,28 @@ def test_wavefunction_shape_validation():
 
 
 def _sample_cat(parity_sign=1, theta=0.3):
-    r = np.sqrt(3.0)
-    return CatSuperposition(
-        alpha_plus=complex(1.0, r) / np.sqrt(2.0),
-        alpha_minus=complex(1.0, -r) / np.sqrt(2.0),
-        phase_theta=theta,
-        parity_sign=parity_sign,
-    )
+    return CatSuperposition(x0=1.0, p0=-0.4, r=np.sqrt(3.0), theta=theta,
+                            parity_sign=parity_sign)
 
 
 @pytest.mark.parametrize("parity_sign", [-1, 1])
 def test_cat_norm_factor_matches_grid(parity_sign):
-    cat = _sample_cat(parity_sign)
+    x0, p0, r, theta = 1.0, -0.4, np.sqrt(3.0), 0.3
+    cat = _sample_cat(parity_sign, theta)
     grid = Grid1D(-13.0, 15.0, 4001)
-    plus = coherent_wavefunction(CoherentParams.from_alpha(cat.alpha_plus), grid)
-    minus = coherent_wavefunction(CoherentParams.from_alpha(cat.alpha_minus), grid)
-    raw = (
-        np.exp(1j * cat.phase_theta) * plus.values
-        + parity_sign * np.exp(-1j * cat.phase_theta) * minus.values
-    )
+    # the coherent states at p0 +/- r are psi_in e^{+/- i r (x - x0/2)}, so the
+    # components psi_in e^{+/- i (theta + r (x - x0))} carry e^{+/- i (theta - r x0/2)}
+    plus = coherent_wavefunction(CoherentParams(x0, p0 + r), grid)
+    minus = coherent_wavefunction(CoherentParams(x0, p0 - r), grid)
+    phase = theta - 0.5 * r * x0
+    raw = np.exp(1j * phase) * plus.values + parity_sign * np.exp(-1j * phase) * minus.values
     raw_norm_sq = integrate(np.abs(raw) ** 2, grid).real
     np.testing.assert_allclose(cat.norm_factor, raw_norm_sq, rtol=0, atol=1e-12)
 
 
 def test_cat_norm_factor_far_from_origin_matches_origin():
-    # the overlap of the components is e^{-(2n+1)} whatever x0 is, but its
-    # exponent as -|alpha|^2/2 - |beta|^2/2 + conj(alpha) beta cancels to no digit here
+    # the overlap of the components is e^{-(2n+1)} whatever x0 is, and the
+    # relative phase, formed from y_m - x0, loses no digit to x0
     for n in (0, 1):
         origin = perfect_cat(GateParams(n, 0.0), CoherentParams(0.0)).norm_factor
         for x0 in (1e4, 1e8, 3e8):
@@ -116,22 +105,14 @@ def test_assemble_cat_unit_norm():
 
 
 def test_assemble_cat_rejects_destructive_pair():
-    r = 0.0
-    dead = CatSuperposition(
-        alpha_plus=complex(0.0, r),
-        alpha_minus=complex(0.0, -r),
-        phase_theta=np.pi / 2.0,
-        parity_sign=1,
-    )
+    dead = CatSuperposition(x0=0.0, p0=0.0, r=0.0, theta=np.pi / 2.0, parity_sign=1)
     with pytest.raises(ZeroStateError):
         assemble_cat(dead, Grid1D(-10.0, 10.0, 2001))
 
 
 def test_cat_rejects_bad_parity():
     with pytest.raises(ValueError):
-        CatSuperposition(
-            alpha_plus=1.0 + 0j, alpha_minus=-1.0 + 0j, phase_theta=0.0, parity_sign=2
-        )
+        CatSuperposition(x0=0.0, p0=0.0, r=1.0, theta=0.0, parity_sign=2)
 
 
 def test_overlap_requires_shared_grid():

@@ -304,17 +304,50 @@ def test_cat_reference_far_from_origin_keeps_mass(n, x0):
     np.testing.assert_allclose(w.total_mass(), 1.0, rtol=0, atol=1e-7)
 
 
+# 45 log-spaced offsets in [1e3, 1e9], rounded to multiples of 0.25, so that
+# the 0.25-spaced axes around them are exact doubles
+_FAR_X0 = np.round(np.logspace(3.0, 9.0, 45) * 4.0) / 4.0
+
+
 @pytest.mark.parametrize("n", [0, 1, 4])
 def test_cat_reference_far_from_origin_matches_origin(n):
-    # the axes' points are exact doubles at both offsets, so the two maps sample the
-    # same cells, and no phase or Gaussian argument may lose digits to x0
-    x0 = 3e8
+    # the axes' points are exact doubles at every offset, so each map samples
+    # the origin map's cells, and no phase or Gaussian argument may lose digits to x0
     pa = Grid1D(-6.0, 6.0, 49)
-    far = wigner_cat_reference(perfect_cat(GateParams(n, x0), CoherentParams(x0)),
-                               Grid1D(x0 - 6.0, x0 + 6.0, 49), pa)
     near = wigner_cat_reference(perfect_cat(GateParams(n, 0.0), CoherentParams(0.0)),
-                                Grid1D(-6.0, 6.0, 49), pa)
-    np.testing.assert_allclose(far.values, near.values, rtol=1e-12, atol=0)
+                                Grid1D(-6.0, 6.0, 49), pa).values
+    off = {}
+    for x0 in _FAR_X0:
+        far = wigner_cat_reference(perfect_cat(GateParams(n, x0), CoherentParams(x0)),
+                                   Grid1D(x0 - 6.0, x0 + 6.0, 49), pa).values
+        err = float(np.max(np.abs(far - near)) / np.max(np.abs(near)))
+        if err > 1e-12:
+            off[float(x0)] = err
+    assert not off, off
+
+
+# W_cat of the n = 300 cat at y_m = x0 = p0 = 0 on the map of `wigner --n 300
+# --with-cat --x-range=-6:6:201 --p-range=-29:29:201`, at fringe cells (x index,
+# p index). The values are the closed form
+# e^{-x^2} [e^{-(p-r)^2} + e^{-(p+r)^2} + 2 e^{-p^2} cos 2rx] / (pi N), with
+# r = sqrt(601) and N = 2 + 2 e^{-601}, evaluated in mpmath at 50 significant
+# digits at the axes' double x and p, and rounded to 20 digits
+_FRINGE_CELLS = [
+    ((97, 101), "-0.23393881572545614471"),
+    ((103, 99), "-0.23393881572544877871"),
+    ((98, 101), "0.26573568280968060053"),
+    ((97, 102), "-0.18177317342005503056"),
+    ((103, 100), "-0.25446406050018920462"),
+    ((101, 101), "-0.28578504881501894874"),
+]
+
+
+def test_cat_reference_fringe_cells_match_50_digit_values():
+    cat = perfect_cat(GateParams(300, 0.0), CoherentParams(0.0))
+    w = wigner_cat_reference(cat, Grid1D(-6.0, 6.0, 201), Grid1D(-29.0, 29.0, 201)).values
+    bound = 1e-14 * np.max(np.abs(w))
+    for cell, value in _FRINGE_CELLS:
+        assert abs(w[cell] - float(value)) <= bound, cell
 
 
 def test_cat_reference_fringe_spacing():
@@ -333,8 +366,8 @@ def test_cat_reference_fringe_spacing():
     )
 
 
-# n = 400 puts the components so far apart that <alpha_-|alpha_+> = e^{-801}
-# underflows, while the Gaussian of the cross term alone would overflow
+# n = 400 puts the components so far apart that their overlap e^{-r^2} = e^{-801}
+# underflows
 @pytest.mark.parametrize(
     "n, y_m, x0, p0", [(2, 0.2, 0.5, -0.3), (7, 1.0, -0.5, 1.5), (20, -2.0, 0.3, 0.7),
                        (400, 0.5, -1.0, 2.5)]
