@@ -155,8 +155,7 @@ def outcome_density(n: int, x0: float, y_m):
         raise ValueError("outcome y_m and input x0 must be finite")
     with np.errstate(over="ignore"):
         delta = y - x0
-    dens = outcome_norm(n, delta) / np.sqrt(2.0 * np.pi)
-    return dens if np.ndim(y_m) else float(dens)
+    return outcome_norm(n, delta) / math.sqrt(2.0 * math.pi)
 
 
 def _adaptive_nodes(lo: float, hi: float, evaluate) -> float:
@@ -217,7 +216,7 @@ def window_probability(n: int, x0: float, width: float) -> float:
     GateParams(n)  # checks n
     h = _window(x0, width)
     c = _central_binomials(n)
-    pois = _poisson_weights(np.array([h]), n)[0, :n]
+    pois = _poisson_weights(np.array([h]), n)[0, :0:-1]
     w = pois * h / ((np.arange(n) + 0.5) * c[:n] * math.sqrt(2.0 * math.pi))
     # tail[i] = sum_{j>i} c_j c_{n-j}
     tail = np.cumsum((c * c[::-1])[:0:-1])[::-1]

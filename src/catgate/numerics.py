@@ -134,20 +134,22 @@ def _rescale(a: np.ndarray, b: np.ndarray, binexp: np.ndarray):
 
 
 def _poisson_weights(t: np.ndarray, n: int) -> np.ndarray:
-    """Pois(j; lam) = e^{-lam} lam^j / j! at lam = t^2/2 for j = 0..n, one row
-    per value of the 1-D array t, formed in log space so that no factor over-
-    or underflows on its own: a weight is 0 only when it is below the double
+    """Pois(n - k; lam) = e^{-lam} lam^{n-k} / (n-k)! at lam = t^2/2 in column
+    k = 0..n, the order of the sums over k that read them, one row per value
+    of the 1-D array t, formed in log space so that no factor over- or
+    underflows on its own: a weight is 0 only when it is below the double
     range. A rate past the double range (|t| above about 1.3e154) is taken
     as the largest double, where every weight is 0 too, rather than inf,
     where inf - inf would make them nan. The exponents are formed in the
-    result and exponentiated in place, so no other array is as large."""
+    result and exponentiated in place, so no other array is as large, and a
+    caller may weight the result in place."""
     with np.errstate(over="ignore"):
         lam = np.minimum(0.5 * t * t, np.finfo(float).max)
     log_lam = np.log(lam, out=np.full(lam.shape, -np.inf), where=lam > 0.0)
     expo = np.zeros((lam.size, n + 1))
-    np.multiply(log_lam[:, None], np.arange(1.0, n + 1.0), out=expo[:, 1:])
-    log_factorials = _log_factorials(1 << int(n).bit_length())[: n + 1]
-    # lam + log j! a block of rows at a time, so no temporary is as large as expo
+    np.multiply(log_lam[:, None], np.arange(float(n), 0.0, -1.0), out=expo[:, :n])
+    log_factorials = _log_factorials(1 << int(n).bit_length())[n::-1]
+    # lam + log (n-k)! a block of rows at a time, so no temporary is as large as expo
     step = max(1, _BLOCK_VALUES // (n + 1))
     for start in range(0, lam.size, step):
         expo[start : start + step] -= lam[start : start + step, None] + log_factorials

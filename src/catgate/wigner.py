@@ -140,13 +140,14 @@ def wigner_mehler(
 
     W = pi^{-3/4} e^{-(x - x0)^2} sum_k sqrt(c_k) h_{2k}(sqrt(2) x~)
     Pois(n - k; p~^2/2) / M_n, one (nx, n+1) by (n+1, np) contraction of
-    Hermite rows over x and Poisson rows over p; every factor is at most 1,
-    so nothing overflows. The Hermite rows come as mantissas and powers of
-    two (numerics._hermite_orders); each x's rows share one exponent, which
-    joins the x factor before the contraction, so no row underflows where
-    W does not, however far x lies from y_m. An outcome whose density
-    M_n/sqrt(2 pi) is below 1e-300 has no conditional state and raises
-    ZeroProbabilityError before anything is sampled.
+    Hermite rows over x and Poisson rows over p, whose columns come in the
+    order of k and are scaled by sqrt(c_k) in place; every factor is at
+    most 1, so nothing overflows. The Hermite rows come as mantissas and
+    powers of two (numerics._hermite_orders); each x's rows share one
+    exponent, which joins the x factor before the contraction, so no row
+    underflows where W does not, however far x lies from y_m. An outcome
+    whose density M_n/sqrt(2 pi) is below 1e-300 has no conditional state
+    and raises ZeroProbabilityError before anything is sampled.
 
     The rows are filled in place, so the memory peaks during the product,
     at the Hermite matrix, the Poisson matrix and the result, all of
@@ -171,11 +172,7 @@ def wigner_mehler(
     del binexps
     scale = np.ldexp(scale, common)
     poisson = _poisson_weights(p_t, n)
-    roots = np.sqrt(_central_binomials(n))
-    # the orders reversed in place, a row at a time: the product would copy
-    # a reversed view whole
-    for row in poisson:
-        row[:] = row[::-1] * roots
+    poisson *= np.sqrt(_central_binomials(n))
     values = hermite.T @ poisson.T
     del hermite, poisson
     values *= scale[:, None]

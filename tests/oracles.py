@@ -69,6 +69,19 @@ def outcome_norm_exact(n: int, delta: float) -> Decimal:
         return Decimal(total.numerator) / Decimal(total.denominator) * scale
 
 
+def poisson_exact(n: int, t: float) -> list[Decimal]:
+    """Pois(n - k; lam) = e^{-lam} lam^(n-k)/(n-k)! at lam = t^2/2 for k = 0..n,
+    the column order of numerics._poisson_weights, to 40 significant digits:
+    lam^j/j! is exact rational arithmetic on the double t and e^{-lam} is taken
+    in decimal, as in outcome_norm_exact, so nothing underflows."""
+    lam = Fraction(t) ** 2 / 2
+    with localcontext() as ctx:
+        ctx.prec = 40
+        scale = (-Decimal(lam.numerator) / Decimal(lam.denominator)).exp()
+        terms = (lam ** (n - k) / math.factorial(n - k) for k in range(n + 1))
+        return [Decimal(q.numerator) / Decimal(q.denominator) * scale for q in terms]
+
+
 def overlap_sq_quadrature(n: int, x0: float, width: float, ys: np.ndarray) -> np.ndarray:
     """|<cat(y)|psi~(y)>|^2 for outcomes ys with |y - x0| <= width/2, by Simpson
     quadrature in the outcome frame u = x - y, independent of the generating-

@@ -17,7 +17,7 @@ from catgate.numerics import (
     integrate,
     integration_weights,
 )
-from oracles import hermite_fn_exact
+from oracles import hermite_fn_exact, poisson_exact
 
 
 def test_grid_basics():
@@ -128,6 +128,21 @@ def test_inv_sqrt_series_central_binomials():
     got = _central_binomials(6)
     expected = [binom(2 * k, k) / 4.0**k for k in range(7)]
     np.testing.assert_allclose(got, expected, rtol=1e-13)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 40, 300])
+@pytest.mark.parametrize("t", [0.0, 0.5, 3.0, 40.0])
+def test_poisson_columns_run_in_the_order_of_k(n, t):
+    # column k is Pois(n - k; t^2/2), the order the sums over k contract; a
+    # weight the exact value puts above 1e-290 keeps its relative accuracy
+    # (at worst 4e-13 here, at (n, t) = (300, 40)), and one below it stays there
+    got = numerics._poisson_weights(np.array([t]), n)
+    assert got.shape == (1, n + 1)
+    for value, exact in zip(got[0], poisson_exact(n, t)):
+        if exact > Decimal("1e-290"):
+            assert abs((Decimal(value) - exact) / exact) <= Decimal("1e-12")
+        else:
+            assert abs(value) <= 1e-290
 
 
 def test_log_factorials_are_built_once_per_n(monkeypatch):

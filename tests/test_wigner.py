@@ -10,7 +10,7 @@ import catgate.wigner
 from catgate.errors import GridCoverageError, ZeroProbabilityError
 from catgate.gate import GateParams, outcome_norm, perfect_cat
 from catgate.metrics import fidelity_cat_scan, outcome_density
-from catgate.numerics import Grid1D, integration_weights
+from catgate.numerics import Grid1D, _poisson_weights, integration_weights
 from catgate.states import CoherentParams, assemble_cat, coherent_wavefunction, fock_wavefunction
 from catgate.wigner import (
     WignerGrid,
@@ -147,9 +147,17 @@ def test_mehler_context_consistent_with_density():
         np.testing.assert_allclose(outcome_norm(n, delta), from_density, rtol=1e-12)
 
 
+def test_outcome_norm_agrees_with_exact_arithmetic_at_n_2000():
+    # the figure outcome_norm's docstring and README state: 4.2e-13 relative
+    # at n = 2000 and an offset of 60 (4.17e-13 measured)
+    exact = float(outcome_norm_exact(2000, 60.0))
+    np.testing.assert_allclose(outcome_norm(2000, 60.0), exact, rtol=5e-13, atol=0)
+
+
 def test_rates_past_the_double_range_give_zero_weights():
     # delta^2/2 overflows to inf above |delta| ~ 1.34e154; M_n and the Poisson
     # rows of the map are then 0, the correctly rounded value, with no warning
+    assert _poisson_weights(np.array([1e200]), 300).tolist() == [[0.0] * 301]
     assert outcome_norm(3, 1e200) == 0.0
     assert outcome_norm(0, 1e160) == 0.0
     np.testing.assert_array_equal(outcome_norm(2, [-1e200, 0.0]), [0.0, 0.375])
@@ -470,6 +478,13 @@ def test_mehler_memory_is_its_two_matrices_plus_the_result():
     # the 3001-row Hermite and Poisson matrices and the result, 49.0 MB of doubles
     floats = 3001 * (xa.count + pa.count) + xa.count * pa.count
     assert _traced_peak(wigner_mehler, params, inp, xa, pa) <= 8 * floats + 0.25e6
+
+
+def test_outcome_norm_memory_is_one_poisson_matrix():
+    # the (offsets x (n+1)) Poisson matrix is weighted in place: one matrix of
+    # doubles, 16.0 MB, plus vectors and one block of lam + log j!
+    delta = np.linspace(-10.0, 10.0, 1001)
+    assert _traced_peak(outcome_norm, 2000, delta) <= 8 * 1001 * 2001 + 1e6
 
 
 @pytest.mark.parametrize("x0", [-3.5, 3.5])
