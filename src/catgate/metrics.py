@@ -26,23 +26,25 @@ The window-averaged fidelity integrates its numerator over the accepted
 outcome offsets with composite Simpson, doubling the node count until
 successive estimates agree to 1e-9, and raises ConvergenceError when they
 do not. That numerator has a closed form at each node: a Hermite
-generating-function coefficient, computed for all nodes at once by one
-complex three-term recurrence of n steps, O(n) work per node and no grid.
-Against u-grid Simpson quadrature (a test oracle) it agrees to a relative
-2e-15 at n = 15, 3e-14 at n = 200, 1e-13 at n = 10^3 and 1.3e-12 at
-n = 10^4. Both window quantities depend on (n, width) alone.
+generating-function coefficient, computed for all nodes at once by n
+complex steps of the rescaled three-term recurrence of numerics, O(n) work
+per node and no grid. Against u-grid Simpson quadrature (a test oracle) it
+agrees to a relative 2.3e-15 up to n = 15, 2.5e-14 at n = 200, 1.1e-13 at
+n = 10^3 and 1.3e-12 at n = 10^4. Both window quantities depend on
+(n, width) alone.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
 
 from .errors import ConvergenceError, SingularShearError, ZeroProbabilityError
 from .gate import (GateParams, _central_binomials, _require_density, exact_output,
                    outcome_norm, perfect_cat, semiclassical_output, taylor_phase)
-from .numerics import _RESCALE_STEPS, Grid1D, _poisson_weights, _rescale, integration_weights
+from .numerics import Grid1D, _poisson_weights, _three_term_rows, integration_weights
 from .states import CoherentParams, WaveFunctionGrid, _cat_norm, coherent_wavefunction, overlap
 
 __all__ = [
@@ -97,13 +99,16 @@ def fidelity_cat_scan(n: int, y_m: float, x0: float, p0: float = 0.0) -> float:
     built only once P has passed _require_density. No grid is sampled, and
     the result depends on (n, Delta) alone: p0 is only checked, and at
     y_m = x0 every x0 gives the same double. Against 40-digit arithmetic it
-    is off by 1.6e-16 at n = 1 and 9.6e-16 at n = 15. An outcome whose
-    density is below 1e-300 raises ZeroProbabilityError. The overlap and P are scaled by powers of
-    two before the overlap is squared, so F_cat stays a normal double where
-    the product P F_cat is below the double range: at (n, y_m, x0) =
-    (1, 36, 0), P = 9.8e-280 and F_cat = 9.236e-95 to 1e-13. It keeps
-    its relative accuracy where the overlap is far below its integrand:
-    at (300, 40, 0) it gives 7.177628583036402e-125, 8.4e-14 from the
+    is off by 1.7e-16 at n = 1, 4.6e-16 at n = 5 and 9.7e-16 at n = 15,
+    and by at most 2.7e-13 at the (n, y_m, x0) = (100..300, 0, 0..10)
+    points the tests pin, the largest at (100, 0, 5). An outcome whose
+    density is below 1e-300 raises ZeroProbabilityError. The overlap and P
+    are scaled by powers of two before the overlap is squared, so F_cat
+    stays a normal double where the product P F_cat is below the double
+    range: at (n, y_m, x0) = (1, 36, 0), P = 9.8e-280 and
+    F_cat = 9.236e-95 to 1e-13. It keeps its relative accuracy where the
+    overlap is far below its integrand: at (300, 40, 0) it gives
+    7.177628583036429e-125, 8.8e-14 from the
     7.1776285830358e-125 of 80-digit arithmetic and a 160-digit quadrature.
     """
     params = GateParams(n, y_m)
@@ -242,32 +247,23 @@ def _overlap_sq(n: int, d: np.ndarray, k, theta0, shift: int = 0) -> np.ndarray:
     since h_n is real, the other branch is T(-k) = conj T(k), and N is
     states._cat_norm(s, k, theta0) = 2 + 2 s e^{-k^2} cos(2 theta0). Here
     g_m = sqrt(m!) [t^m] e^{at - t^2/6} with a = -sqrt(2) w/3, so that
-    g_m = a g_{m-1}/sqrt(m) - g_{m-2} sqrt((m-1)/m)/3 from g_0 = 1: n steps
-    over all offsets at once, O(n) work per offset. Each step multiplies by
-    w and takes -sqrt(2)/3 into its own scalar, so the rounding of a does not
-    compound over the n steps. |e^{w^2/6 - d^2}| = e^{-(2d^2+k^2)/6} while
-    g_n grows about as fast, so every _RESCALE_STEPS steps both rows are
-    rescaled by numerics._rescale, which is exact, and the carried exponent
-    joins the exponential at the end: n = 10^4 stays finite, and no rounded
-    logarithm accumulates. The overlap is scaled by 2^shift before it is
-    squared, which is exact, so a caller that scales its divisor by 4^shift
-    gets the unscaled quotient's bytes wherever the square alone would not
-    underflow, and a normal quotient where it would.
+    g_m = a g_{m-1}/sqrt(m) - g_{m-2} sqrt((m-1)/m)/3 from g_0 = 1, which is
+    numerics._three_term_rows at argument w with divisors alpha = -3 and
+    beta = 3: n steps over all offsets at once, O(n) work per offset. Each
+    step multiplies by w and divides its own scalars, sqrt(2/m) by -3 and
+    sqrt((m-1)/m) by 3, so each is rounded once; a rounded factor 1/3
+    would put one bias into every step and compound it over the n steps.
+    |e^{w^2/6 - d^2}| = e^{-(2d^2+k^2)/6} while g_n grows about as fast, so
+    the rows come as mantissas and powers of two, rescaled exactly, and the
+    exponent joins the exponential at the end: n = 10^4 stays finite, and
+    no rounded logarithm accumulates. The overlap is scaled by 2^shift
+    before it is squared, which is exact, so a caller that scales its
+    divisor by 4^shift gets the unscaled quotient's bytes wherever the
+    square alone would not underflow, and a normal quotient where it would.
     """
     w = 2.0 * d + 1j * k
-    g_prev = np.zeros(d.size, dtype=complex)
-    g = np.ones(d.size, dtype=complex)
-    g_next = np.empty(d.size, dtype=complex)
-    # the recurrence's values are g 2^binexp
-    binexp = np.zeros(d.size, dtype=int)
-    for m in range(1, n + 1):
-        np.multiply(w, g, out=g_next)
-        g_next *= -math.sqrt(2.0 / m) / 3.0
-        g_prev *= math.sqrt((m - 1) / m) / 3.0
-        g_next -= g_prev
-        g_prev, g, g_next = g, g_next, g_prev
-        if m % _RESCALE_STEPS == 0:
-            g, g_prev, binexp = _rescale(g, g_prev, binexp)
+    # g_n = g 2^binexp
+    g, binexp = next(islice(_three_term_rows(w, np.ones_like(w), 0, -3.0, 3.0), n, None))
     # Re and Im of w^2/6 - d^2 - i(theta0 + k d), plus the carried scale
     expo = binexp * math.log(2.0) - (2.0 * d * d + k * k) / 6.0
     phase = theta0 + k * d / 3.0
@@ -293,7 +289,7 @@ def mixed_fidelity(n: int, x0: float, width: float) -> float:
     where P alone underflows. At each node it is a closed form, a Hermite
     generating-function coefficient that one n-step recurrence gives for
     all nodes of a level at once (see _overlap_sq): O(n) work per node, no
-    grid, and a relative error that grows about linearly with n, 3e-14 at
+    grid, and a relative error that grows about linearly with n, 2.5e-14 at
     n = 200 and 1.3e-12 at n = 10^4 against u-grid quadrature. The
     numerator is integrated adaptively over the offsets d = y - x0 in
     [-width/2, width/2], and the denominator is window_probability, so

@@ -2,9 +2,11 @@
 
 Everything downstream (state construction, gate application, Wigner engines)
 is built on the uniform-grid and Hermite-recurrence primitives defined here.
-The recurrences keep their rows inside the double range here too: a row is
-a mantissa with a power-of-two exponent, and _rescale moves its magnitude
-into the exponent every _RESCALE_STEPS steps, exactly.
+One rescaled three-term recurrence (_three_term_rows) gives both the Hermite
+functions and the generating-function coefficients of metrics._overlap_sq,
+and it keeps its rows inside the double range: a row is a mantissa with a
+power-of-two exponent, and _rescale moves its magnitude into the exponent
+every _RESCALE_STEPS steps, exactly.
 """
 
 from __future__ import annotations
@@ -98,7 +100,8 @@ def eval_hermite_fn(n: int, x):
 
 def _hermite_orders(x: np.ndarray):
     """Yield (m, e) with h_k(x) = m 2^e for k = 0, 1, 2, ..., one order per
-    step of the recurrence of eval_hermite_fn on a float array x, e int32.
+    step of the recurrence of eval_hermite_fn on a float array x, e int32:
+    the rows of _three_term_rows with alpha = beta = 1 from h_0.
 
     e takes the part of e^{-x^2/2} below the double range, so it starts at
     0 wherever x^2/2 <= _EXP_FLOOR, and there m 2^e is bit for bit the
@@ -109,28 +112,52 @@ def _hermite_orders(x: np.ndarray):
     """
     half_sq = 0.5 * x * x
     binexp = np.fmax(np.fmin((_EXP_FLOOR - half_sq) / _LN2, 0.0), _MIN_BINEXP).astype(np.int32)
-    h = np.exp(-half_sq - binexp * _LN2) / _PI_QUARTER
-    h_prev = np.zeros_like(x)
+    return _three_term_rows(x, np.exp(-half_sq - binexp * _LN2) / _PI_QUARTER, binexp, 1.0, 1.0)
+
+
+def _three_term_rows(x: np.ndarray, start: np.ndarray, binexp, alpha: float, beta: float):
+    """Yield (m, e) with r_k = m 2^e for k = 0, 1, 2, ... of the recurrence
+
+        r_0 = start 2^binexp,   r_{-1} = 0,
+        r_{k+1} = x (sqrt(2/(k+1))/alpha) r_k - (sqrt(k/(k+1))/beta) r_{k-1},
+
+    elementwise on a real or complex array x, with start of x's shape and of
+    the rows' dtype. alpha = beta = 1 gives the Hermite functions
+    (_hermite_orders); metrics._overlap_sq takes alpha = -3 and beta = 3.
+    alpha and beta divide each step's scalar, so dividing by 1 is exact,
+    and a divisor such as 3 rounds each scalar once and independently,
+    where a rounded factor 1/3 would carry one bias into every step and
+    compound it over the n steps. Every _RESCALE_STEPS steps both rows are
+    rescaled by _rescale, exactly. The rows are stepped in place, so a
+    yielded m is valid only until the generator is resumed: a caller that
+    keeps rows copies them.
+    """
+    r = np.array(start)  # a copy, and an array even where start is a NumPy scalar
+    r_prev, r_next = np.zeros_like(r), np.empty_like(r)
     k = 0
     while True:
-        yield h, binexp
-        h, h_prev = x * np.sqrt(2.0 / (k + 1)) * h - np.sqrt(k / (k + 1.0)) * h_prev, h
+        yield r, binexp
+        np.multiply(x, math.sqrt(2.0 / (k + 1)) / alpha, out=r_next)
+        r_next *= r
+        r_prev *= math.sqrt(k / (k + 1.0)) / beta
+        r_next -= r_prev
+        r_prev, r, r_next = r, r_next, r_prev
         k += 1
         if k % _RESCALE_STEPS == 0:
-            h, h_prev, binexp = _rescale(h, h_prev, binexp)
+            binexp = _rescale(r, r_prev, binexp)
 
 
-def _rescale(a: np.ndarray, b: np.ndarray, binexp: np.ndarray):
-    """Rows a 2^binexp and b 2^binexp of a three-term recurrence, divided by
-    the power of two just above their larger magnitude, which is exact.
-
-    Returns new rows and exponents (the inputs are left as they are, since
-    a caller may hold them) with the values unchanged, so that the next
-    _RESCALE_STEPS steps neither overflow nor underflow.
+def _rescale(a: np.ndarray, b: np.ndarray, binexp):
+    """Divide rows a 2^binexp and b 2^binexp of a three-term recurrence, in
+    place, by the power of two just above their larger magnitude, which is
+    exact, and return the exponents that keep their values unchanged, so
+    that the next _RESCALE_STEPS steps neither overflow nor underflow.
     """
     _, shift = np.frexp(np.maximum(np.abs(a), np.abs(b)))
     scale = np.ldexp(1.0, -shift)
-    return a * scale, b * scale, binexp + shift
+    a *= scale
+    b *= scale
+    return binexp + shift
 
 
 def _poisson_weights(t: np.ndarray, n: int) -> np.ndarray:

@@ -122,6 +122,29 @@ def test_cat_fidelity_far_outcome_does_not_underflow(y_m, expected):
     np.testing.assert_allclose(fidelity_cat_scan(1, y_m, 0.0), expected, rtol=1e-12, atol=0)
 
 
+# F_cat at (n, y_m, x0) from two mpmath computations that agree to 20 digits: a
+# 40-digit Gauss-Legendre quadrature of <cat|psi~> and of P over x0 +/- 12, on
+# panels no wider than 2/sqrt(2n+1), and _overlap_sq's generating-function
+# coefficient at 60 digits over the exact rational sum M_n, both with exact
+# k = sqrt(2n+1); the small-n rows allow a few ulps, the large-n rows the
+# growth of the recurrence's rounding with n
+@pytest.mark.parametrize(
+    "n, y_m, x0, expected, rtol",
+    [
+        (1, 0.0, 0.0, 0.97336797343683584759, 1.5e-15),
+        (5, 0.0, 0.0, 0.99475763246883309936, 1.5e-15),
+        (15, 0.0, 0.0, 0.99826245324252612551, 1.5e-15),
+        (100, 0.0, 5.0, 1.2741222679110934643e-4, 1e-12),
+        (100, 0.0, 10.0, 2.5156910652947738676e-4, 1e-12),
+        (200, 0.0, 5.0, 0.16424005294058594709, 1e-12),
+        (300, 0.0, 0.0, 0.99991319611705515361, 1e-12),
+        (300, 0.0, 5.0, 0.33447790821552631565, 1e-12),
+    ],
+)
+def test_cat_fidelity_matches_high_precision_references(n, y_m, x0, expected, rtol):
+    assert fidelity_cat_scan(n, y_m, x0) == pytest.approx(expected, rel=rtol, abs=0)
+
+
 def test_cat_fidelity_keeps_relative_accuracy_where_the_overlap_cancels():
     # _overlap_sq's formula at 80 digits with exact k = sqrt(601) gives
     # 7.17762858303580e-125, and a 160-digit mpmath quadrature of the overlap
@@ -282,16 +305,23 @@ def test_mixed_fidelity_rejects_window_past_turning_point():
         mixed_fidelity(1, 0.0, 2.0 * np.sqrt(3.0) + 0.1)
 
 
-@pytest.mark.parametrize("n", [0, 1, 5, 15, 200, 1000, 10_000])
+# the relative agreement the metrics module docstring states, per n
+@pytest.mark.parametrize(
+    "n, rtol",
+    [pytest.param(n, rtol, id=str(n)) for n, rtol in
+     [(0, 2.3e-15), (1, 2.3e-15), (5, 2.3e-15), (15, 2.3e-15), (200, 2.5e-14),
+      (1000, 1.1e-13), (10_000, 1.3e-12)]],
+)
 @pytest.mark.parametrize("x0", [0.0, 3.0])
 @pytest.mark.parametrize("width", [0.05, 1.0, 2.0])
-def test_overlap_integrand_matches_closed_form(n, x0, width):
+def test_overlap_integrand_matches_closed_form(n, rtol, x0, width):
     ys = x0 + 0.5 * width * np.array([-1.0, -0.37, 0.0, 0.5, 1.0])
     ys = ys[np.abs(ys - x0) < np.sqrt(2.0 * n + 1.0)]
     expected = overlap_sq_quadrature(n, x0, width, ys)
     tp = taylor_phase(GateParams(n, 0.0), x0 - ys)
     got = _overlap_sq(n, ys - x0, tp.p_plus, tp.theta0)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, expected, rtol=rtol, atol=0)
 
 
 def test_adaptive_nodes_rejects_non_finite_estimate():
