@@ -146,15 +146,21 @@ def _run_wigner(p: dict):
         x_default, p_default = default_axes(params, inp)
         x_axis, p_axis = x_axis or x_default, p_axis or p_default
 
-    both = p["engine"] == "both"
-    columns = ["x", "p", "W_mehler" if both else "W"]
-    grids = [wigner_mehler(params, inp, x_axis, p_axis)]
     metadata: dict = {"engine": p["engine"]}
-    if both:
-        columns.append("W_quadrature")
-        grids.append(wigner_output_quadrature(params, inp, x_axis, p_axis))
-        difference = grids[0].values - grids[1].values
-        metadata["max_abs_difference"] = float(np.max(np.abs(difference, out=difference)))
+    if p["engine"] == "both":
+        # the oracle first, so that its kernel slices and the closed form's
+        # chunks are never held together, and the difference a block at a time
+        oracle = wigner_output_quadrature(params, inp, x_axis, p_axis)
+        grids = [wigner_mehler(params, inp, x_axis, p_axis), oracle]
+        columns = ["x", "p", "W_mehler", "W_quadrature"]
+        mehler, quadrature = (g.values.ravel() for g in grids)
+        metadata["max_abs_difference"] = max(
+            float(np.max(np.abs(mehler[i : i + _BLOCK_ROWS] - quadrature[i : i + _BLOCK_ROWS])))
+            for i in range(0, mehler.size, _BLOCK_ROWS)
+        )
+    else:
+        grids = [wigner_mehler(params, inp, x_axis, p_axis)]
+        columns = ["x", "p", "W"]
     if p["with_cat"]:
         columns.append("W_cat")
         grids.append(wigner_cat_reference(perfect_cat(params, inp), x_axis, p_axis))

@@ -108,8 +108,9 @@ def fidelity_cat_scan(n: int, y_m: float, x0: float, p0: float = 0.0) -> float:
     range: at (n, y_m, x0) = (1, 36, 0), P = 9.8e-280 and
     F_cat = 9.236e-95 to 1e-13. It keeps its relative accuracy where the
     overlap is far below its integrand: at (300, 40, 0) it gives
-    7.177628583036429e-125, 8.8e-14 from the
-    7.1776285830358e-125 of 80-digit arithmetic and a 160-digit quadrature.
+    7.177628583036378e-125, 4.1e-14 from the 7.1776285830360844e-125 that
+    its closed form gives at 60 to 150 digits with exact k = sqrt(601)
+    (7.1776285830369099e-125 with k = fl(sqrt(601))).
     """
     params = GateParams(n, y_m)
     inp = CoherentParams(x0, p0)

@@ -110,7 +110,9 @@ def _hermite_orders(x: np.ndarray):
     past |x| = 3.86e4, where |h_n| < (2|x|)^n e^{n^2/(4x^2) - x^2/2} is
     below the double range for every n < 10^7.
     """
-    half_sq = 0.5 * x * x
+    # x^2/2 past the double range is inf, where e takes _MIN_BINEXP and m is 0
+    with np.errstate(over="ignore"):
+        half_sq = 0.5 * x * x
     binexp = np.fmax(np.fmin((_EXP_FLOOR - half_sq) / _LN2, 0.0), _MIN_BINEXP).astype(np.int32)
     return _three_term_rows(x, np.exp(-half_sq - binexp * _LN2) / _PI_QUARTER, binexp, 1.0, 1.0)
 
@@ -160,24 +162,30 @@ def _rescale(a: np.ndarray, b: np.ndarray, binexp):
     return binexp + shift
 
 
-def _poisson_weights(t: np.ndarray, n: int) -> np.ndarray:
+def _poisson_weights(t: np.ndarray, n: int, k0: int = 0, k1: int | None = None) -> np.ndarray:
     """Pois(n - k; lam) = e^{-lam} lam^{n-k} / (n-k)! at lam = t^2/2 in column
-    k = 0..n, the order of the sums over k that read them, one row per value
-    of the 1-D array t, formed in log space so that no factor over- or
-    underflows on its own: a weight is 0 only when it is below the double
-    range. A rate past the double range (|t| above about 1.3e154) is taken
-    as the largest double, where every weight is 0 too, rather than inf,
-    where inf - inf would make them nan. The exponents are formed in the
-    result and exponentiated in place, so no other array is as large, and a
-    caller may weight the result in place."""
+    k - k0 for k = k0..k1-1 (all of k = 0..n by default), the order of the
+    sums over k that read them, one row per value of the 1-D array t, formed
+    in log space so that no factor over- or underflows on its own: a weight
+    is 0 only when it is below the double range. Each weight is formed by
+    the same operations whichever columns are asked for, so a range of
+    columns is bit for bit that slice of the whole matrix. A rate past the
+    double range (|t| above about 1.3e154) is taken as the largest double,
+    where every weight is 0 too, rather than inf, where inf - inf would make
+    them nan. The exponents are formed in the result and exponentiated in
+    place, so no other array is as large, and a caller may weight the
+    result in place."""
+    k1 = n + 1 if k1 is None else k1
     with np.errstate(over="ignore"):
         lam = np.minimum(0.5 * t * t, np.finfo(float).max)
     log_lam = np.log(lam, out=np.full(lam.shape, -np.inf), where=lam > 0.0)
-    expo = np.zeros((lam.size, n + 1))
-    np.multiply(log_lam[:, None], np.arange(float(n), 0.0, -1.0), out=expo[:, :n])
-    log_factorials = _log_factorials(1 << int(n).bit_length())[n::-1]
+    expo = np.zeros((lam.size, k1 - k0))
+    # the powers n - k down to 1; the column of k = n, if asked for, keeps its 0
+    powers = np.arange(float(n - k0), 0.0, -1.0)[: k1 - k0]
+    np.multiply(log_lam[:, None], powers, out=expo[:, : powers.size])
+    log_factorials = _log_factorials(1 << int(n).bit_length())[n::-1][k0:k1]
     # lam + log (n-k)! a block of rows at a time, so no temporary is as large as expo
-    step = max(1, _BLOCK_VALUES // (n + 1))
+    step = max(1, _BLOCK_VALUES // (k1 - k0))
     for start in range(0, lam.size, step):
         expo[start : start + step] -= lam[start : start + step, None] + log_factorials
     return np.exp(expo, out=expo)

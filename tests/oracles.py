@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -34,52 +35,111 @@ def _decimal(i: int) -> Decimal:
 
 def hermite_fn_exact(n: int, x: float) -> Decimal:
     """h_n(x) = H_n(x) e^{-x^2/2} / (pi^{1/4} sqrt(2^n n!)) at the double x,
-    to 40 significant digits. With x = a/2^b, G_k = H_k(x) 2^{bk} is an
-    integer, and H_{k+1} = 2x H_k - 2k H_{k-1} becomes
-    G_{k+1} = 2a G_k - 2k 4^b G_{k-1}, which is exact; the rest is 50-digit
-    decimal, whose exponent range holds h_n where doubles underflow. The
-    cost grows with b, so x with few binary digits after the point is
-    cheapest."""
+    to 40 significant digits: hermite_fns_exact at the one order n."""
+    return hermite_fns_exact(x, [n])[0]
+
+
+def hermite_fns_exact(x: float, orders) -> list[Decimal]:
+    """h_k(x) at the double x for each k of the increasing `orders`, to 40
+    significant digits. With x = a/2^b, G_k = H_k(x) 2^{bk} is an integer,
+    and H_{k+1} = 2x H_k - 2k H_{k-1} becomes
+    G_{k+1} = 2a G_k - 2k 4^b G_{k-1}, which is exact, as is the running
+    k! 2^k of the norm; the rest is 50-digit decimal, whose exponent range
+    holds h_k where doubles underflow. The cost grows with b, so x with few
+    binary digits after the point is cheapest."""
     frac = Fraction(x)
     a, b = frac.numerator, frac.denominator.bit_length() - 1
-    g_prev, g = 0, 1
-    for k in range(n):
-        g_prev, g = g, 2 * a * g - (2 * k << 2 * b) * g_prev
+    wanted = list(orders)
+    values = []
+    g_prev, g, norm_sq = 0, 1, 1  # G_{k-1}, G_k and k! 2^k at k = 0
     with localcontext() as ctx:
         ctx.prec = 50
         half_sq = frac * frac / 2
         gauss = (-Decimal(half_sq.numerator) / Decimal(half_sq.denominator)).exp()
-        norm = _PI.sqrt().sqrt() * _decimal(math.factorial(n) << n).sqrt()
-        return _decimal(g) * Decimal(2) ** (-b * n) * gauss / norm
+        quarter = _PI.sqrt().sqrt()
+        for k in range(wanted[-1] + 1):
+            if k == wanted[len(values)]:
+                norm = quarter * _decimal(norm_sq).sqrt()
+                values.append(_decimal(g) * Decimal(2) ** (-b * k) * gauss / norm)
+            g_prev, g = g, 2 * a * g - (2 * k << 2 * b) * g_prev
+            norm_sq *= 2 * (k + 1)
+    return values
 
 
-def outcome_norm_exact(n: int, delta: float) -> Decimal:
-    """M_n = e^{-lam} sum_k C(2k,k)/4^k lam^(n-k)/(n-k)! at lam = delta^2/2, to 40
-    significant digits: the sum is exact rational arithmetic on the double
-    delta and e^{-lam} is taken in decimal, so the value is independent of the
-    log-space Poisson weights of gate.outcome_norm and does not underflow."""
-    lam = Fraction(delta) ** 2 / 2
-    total = sum(
-        Fraction(math.comb(2 * k, k), 4**k) * lam ** (n - k) / math.factorial(n - k)
-        for k in range(n + 1)
-    )
+def outcome_norm_exact(n: int, delta) -> Decimal:
+    """M_n = sum_k C(2k,k)/4^k Pois(n - k; lam) at lam = delta^2/2, for a
+    double or a Fraction delta, to 40 significant digits: the exact Poisson
+    weights of poisson_exact times c_k = C(2k,k)/4^k of _central_binomials_exact,
+    summed in 50-digit decimal. Every term is positive, so the sum loses no
+    digits, and the value is independent of the log-space Poisson weights of
+    gate.outcome_norm and does not underflow."""
     with localcontext() as ctx:
-        ctx.prec = 40
-        scale = (-Decimal(lam.numerator) / Decimal(lam.denominator)).exp()
-        return Decimal(total.numerator) / Decimal(total.denominator) * scale
+        ctx.prec = 50
+        return sum(c * w for c, w in zip(_central_binomials_exact(n), poisson_exact(n, delta)))
 
 
-def poisson_exact(n: int, t: float) -> list[Decimal]:
+def _central_binomials_exact(n: int) -> list[Decimal]:
+    """c_k = C(2k,k)/4^k for k = 0..n in 50-digit decimal, by the running
+    product c_k = c_{k-1} (2k-1)/(2k), which rounds once a step."""
+    values = [Decimal(1)]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for k in range(1, n + 1):
+            values.append(values[-1] * (2 * k - 1) / (2 * k))
+    return values
+
+
+def poisson_exact(n: int, t) -> list[Decimal]:
     """Pois(n - k; lam) = e^{-lam} lam^(n-k)/(n-k)! at lam = t^2/2 for k = 0..n,
-    the column order of numerics._poisson_weights, to 40 significant digits:
-    lam^j/j! is exact rational arithmetic on the double t and e^{-lam} is taken
-    in decimal, as in outcome_norm_exact, so nothing underflows."""
+    the column order of numerics._poisson_weights, to 40 significant digits,
+    for a double or a Fraction t. With lam = a/b, lam^j/j! = a^j/(b^j j!) is
+    a ratio of exact integers, built by running products and divided in
+    50-digit decimal, and e^{-lam} is taken in decimal, as in
+    outcome_norm_exact, so the values are independent of the log-space
+    weights and nothing underflows."""
     lam = Fraction(t) ** 2 / 2
+    a, b = lam.numerator, lam.denominator
+    terms = []
+    num, den = 1, 1  # a^j and b^j j!
     with localcontext() as ctx:
-        ctx.prec = 40
-        scale = (-Decimal(lam.numerator) / Decimal(lam.denominator)).exp()
-        terms = (lam ** (n - k) / math.factorial(n - k) for k in range(n + 1))
-        return [Decimal(q.numerator) / Decimal(q.denominator) * scale for q in terms]
+        ctx.prec = 50
+        scale = (-Decimal(a) / Decimal(b)).exp()
+        for j in range(n + 1):
+            terms.append(_decimal(num) / _decimal(den) * scale)
+            num, den = num * a, den * b * (j + 1)
+    return terms[::-1]
+
+
+@functools.cache
+def _even_hermite_fns_exact(n: int, x: float) -> tuple[Decimal, ...]:
+    """h_0(x), h_2(x), ..., h_{2n}(x), kept for the cells that share an x."""
+    return tuple(hermite_fns_exact(x, range(0, 2 * n + 1, 2)))
+
+
+def wigner_cell_exact(n: int, y_m: float, x0: float, p0: float, x: float, p: float) -> Decimal:
+    """W(x, p) of the gate output for the coherent input (x0, p0) and the
+    outcome y_m, from the closed form of wigner.wigner_mehler,
+
+        W = pi^{-3/4} e^{-(x - x0)^2} sum_k sqrt(c_k) h_{2k}(sqrt(2) x~)
+            Pois(n - k; p~^2/2) / M_n,   c_k = C(2k,k)/4^k,
+
+    with x~ = x - y_m and p~ = p - p0, summed in 50-digit decimal from
+    hermite_fns_exact, poisson_exact and outcome_norm_exact: exact Poisson
+    weights at the exact p~. The Hermite functions are taken at the double
+    sqrt(2) x~ that wigner_mehler forms, np.sqrt(2.0) * (x - y_m), so the
+    oracle checks the sum and its weights, not the rounding of that
+    argument. A cell at n = 3000 takes about a second, and half as long
+    where its x was asked for before.
+    """
+    hermite = _even_hermite_fns_exact(n, float(np.sqrt(2.0) * (x - y_m)))
+    poisson = poisson_exact(n, Fraction(p) - Fraction(p0))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        total = sum(c.sqrt() * h * w for c, h, w in zip(_central_binomials_exact(n), hermite, poisson))
+        sq = (Fraction(x) - Fraction(x0)) ** 2
+        gauss = (-Decimal(sq.numerator) / Decimal(sq.denominator)).exp()
+        m_n = outcome_norm_exact(n, Fraction(y_m) - Fraction(x0))
+        return _PI.sqrt().sqrt() ** -3 * gauss * total / m_n
 
 
 def overlap_sq_quadrature(n: int, x0: float, width: float, ys: np.ndarray) -> np.ndarray:

@@ -671,6 +671,37 @@ def test_table_memory_beyond_the_map_does_not_grow():
     assert peaks[2] < peaks[1] + 256e3
 
 
+def test_wigner_engines_peak_is_two_maps_plus_one_oracle_slice_and_block():
+    # the oracle runs first, then the closed form, and the difference is taken
+    # a block at a time, so the closed form's chunks never meet the oracle's
+    # kernel slice (1201 x 52 complex) and block of correlation rows (64 x 1201
+    # complex): 3.79 MB traced, where the closed form first took 5.08 MB
+    argv = ["wigner", "--n", "300", "--engine", "both", "--x-range=-6:6:401",
+            "--p-range=-29:29:401"]
+    parameters = vars(build_parser().parse_args(argv))
+    catgate.cli._run_wigner(parameters)
+    tracemalloc.start()
+    try:
+        catgate.cli._run_wigner(parameters)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    floats = 2 * 401 * 401 + 2 * 1201 * (52 + catgate.wigner._BLOCK_ROWS)
+    assert peak <= 8 * floats + 0.25e6
+
+
+def test_wigner_past_the_double_range_is_quiet(capsys):
+    # (x - x0)^2 and x^2/2 overflow above |x| ~ 1.3e154, where W is 0
+    argv = ["wigner", "--n", "1", "--x-range=-1e200:1e200:3", "--p-range=-1:1:3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    w = [row.split(",")[2] for row in captured.out.splitlines()[1:]]
+    assert w[:3] == w[6:] == ["0"] * 3 and "0" not in w[3:6]
+
+
 def test_g17_cells_peak_per_value():
     # the formatter forms its steps over arrays it has spent and gathers the
     # cells a few hundred at a time: 80 bytes a value at 8192 values
@@ -715,7 +746,10 @@ def test_wigner_outcome_without_density_exits_3(capsys):
     ]
     # y_m - x0 overflows to -inf, where the density is 0
     + [([command, "--n", "1", "--x0", "1e308", "--ym=-1e308"], "y_m=-1e+308 for input x0=1e+308")
-       for command in ("cat-fidelity", "fidelity-scan", "wigner")],
+       for command in ("cat-fidelity", "fidelity-scan", "wigner")]
+    # the oracle, which runs first under --engine both, refuses by the same rule
+    + [(["wigner", "--n", "1", "--ym", "1e300", "--engine", "both", "--x-range=0:1:3",
+         "--p-range=0:1:3"], "y_m=1e+300 for input x0=0.0")],
 )
 def test_outcome_without_density_is_refused_on_the_density(argv, outcome, capsys):
     with warnings.catch_warnings():
@@ -763,8 +797,8 @@ def test_wigner_engine_quadrature_is_refused(capsys):
 
 
 def test_quadrature_oracle_over_budget_exits_3(capsys):
-    # the state grid would run from the axis to x0 - 9 = 1e17 - 9 at 0.02 spacing, and
-    # the closed form, computed first, succeeds there
+    # the state grid would run from the axis to x0 - 9 = 1e17 - 9 at 0.02 spacing; the
+    # oracle runs before the closed form, which succeeds there
     argv = ["wigner", "--n", "1", "--ym", "1e17", "--x0", "1e17", "--engine", "both",
             "--x-range=-1:1:3", "--p-range=0:1:3"]
     assert main(argv) == 3

@@ -146,11 +146,11 @@ def test_cat_fidelity_matches_high_precision_references(n, y_m, x0, expected, rt
 
 
 def test_cat_fidelity_keeps_relative_accuracy_where_the_overlap_cancels():
-    # _overlap_sq's formula at 80 digits with exact k = sqrt(601) gives
-    # 7.17762858303580e-125, and a 160-digit mpmath quadrature of the overlap
-    # over [-50, 5] in 180 panels gives 7.1776285830358e-125; the integrand
-    # peaks near 1e-71, so a quadrature with too few digits returns noise
-    assert fidelity_cat_scan(300, 40.0, 0.0) == pytest.approx(7.1776285830358e-125, rel=1e-12)
+    # _overlap_sq's closed form in mpmath at 60, 100 and 150 digits with exact
+    # k = sqrt(601) gives 7.1776285830360844e-125 (7.1776285830369099e-125 with
+    # k = fl(sqrt(601))); the overlap's integrand peaks near 1e-71, so a
+    # quadrature with too few digits returns noise
+    assert fidelity_cat_scan(300, 40.0, 0.0) == pytest.approx(7.1776285830360844e-125, rel=1e-12)
 
 
 @pytest.mark.parametrize("x0", [0.0, 3.0, 5.0, 123456.5, 1e9])

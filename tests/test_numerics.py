@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -128,6 +129,14 @@ def test_inv_sqrt_series_central_binomials():
     got = _central_binomials(6)
     expected = [binom(2 * k, k) / 4.0**k for k in range(7)]
     np.testing.assert_allclose(got, expected, rtol=1e-13)
+
+
+def test_hermite_fn_past_the_double_range_is_quiet():
+    # x^2/2 overflows above |x| ~ 1.3e154, where h_n is 0, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eval_hermite_fn(3, 1e200) == 0.0
+        np.testing.assert_array_equal(eval_hermite_fn(3, np.array([-1e300, 1e200])), 0.0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 40, 300])

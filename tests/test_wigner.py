@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ import catgate.wigner
 from catgate.errors import GridCoverageError, ZeroProbabilityError
 from catgate.gate import GateParams, outcome_norm, perfect_cat
 from catgate.metrics import fidelity_cat_scan, outcome_density
-from catgate.numerics import Grid1D, _poisson_weights, integration_weights
+from catgate.numerics import Grid1D, _poisson_weights, eval_hermite_fn, integration_weights
 from catgate.states import CoherentParams, assemble_cat, coherent_wavefunction, fock_wavefunction
 from catgate.wigner import (
     WignerGrid,
@@ -21,7 +22,7 @@ from catgate.wigner import (
     wigner_output_quadrature,
     wigner_quadrature,
 )
-from oracles import outcome_norm_exact
+from oracles import outcome_norm_exact, wigner_cell_exact
 
 
 def _sign_changes(slice_values, floor=1e-12):
@@ -471,13 +472,35 @@ def test_quadrature_memory_is_one_block_plus_one_kernel_slice():
     assert growth <= 1200 * 401 * 8 + 0.25e6
 
 
-def test_mehler_memory_is_its_two_matrices_plus_the_result():
+def test_mehler_memory_is_the_result_plus_one_chunk():
     params, inp = GateParams(3000, 0.0), CoherentParams(0.0, 0.0)
     xa, pa = default_axes(params, inp)
     assert (xa.count, pa.count) == (889, 889)
-    # the 3001-row Hermite and Poisson matrices and the result, 49.0 MB of doubles
-    floats = 3001 * (xa.count + pa.count) + xa.count * pa.count
+    # the result, 6.3 MB of doubles, plus one chunk of 36 orders' Hermite and
+    # Poisson rows and one block of partial products, at most _CHUNK_VALUES
+    # doubles each: 7.45 MB traced, where the 3001-row matrices took 49 MB
+    floats = xa.count * pa.count + 2 * catgate.wigner._CHUNK_VALUES
     assert _traced_peak(wigner_mehler, params, inp, xa, pa) <= 8 * floats + 0.25e6
+
+
+def test_mehler_memory_does_not_grow_with_n():
+    # on fixed axes only the vectors of n + 1 values grow, 16 kB from n = 1000
+    # to 3000, where the (n+1)-row matrices grew by 12.8 MB
+    xa, pa, inp = Grid1D(-6.0, 6.0, 401), Grid1D(-90.0, 90.0, 401), CoherentParams(0.0, 0.0)
+    peaks = [_traced_peak(wigner_mehler, GateParams(n, 0.0), inp, xa, pa) for n in (1000, 3000)]
+    assert peaks[1] <= peaks[0] + 8 * 3 * 2000
+
+
+@pytest.mark.parametrize("values", [1, 130, 10**9])
+def test_mehler_chunks_agree_with_one_product(values, monkeypatch):
+    # one order a chunk, 2 orders (the x exponents rise chunk by chunk where
+    # the first Hermite rows underflow) and all 601 orders in one product
+    args = (GateParams(600, 28.0), CoherentParams(0.0, 0.0), Grid1D(-6.0, 6.0, 41),
+            Grid1D(-29.0, 29.0, 25))
+    default = wigner_mehler(*args).values
+    monkeypatch.setattr(catgate.wigner, "_CHUNK_VALUES", values)
+    chunked = wigner_mehler(*args).values
+    np.testing.assert_allclose(chunked, default, rtol=0, atol=1e-15 * np.max(np.abs(default)))
 
 
 def test_outcome_norm_memory_is_one_poisson_matrix():
@@ -516,3 +539,88 @@ def test_mehler_even_symmetry_at_origin():
     w = wigner_mehler(params, inp, xa, pa)
     np.testing.assert_allclose(w.values, w.values[::-1, :], rtol=0, atol=1e-14)
     np.testing.assert_allclose(w.values, w.values[:, ::-1], rtol=0, atol=1e-14)
+
+
+# Three identities of a pure state's Wigner map check a whole map against
+# closed forms that are tested on their own, with no state sampled, so they
+# reach n where the quadrature oracle refuses its budget. Simpson on the
+# map's own axes; each bound is the measured deviation with a margin.
+
+
+def _refined(axis: Grid1D, refine: int) -> Grid1D:
+    return Grid1D(axis.x_min, axis.x_max, refine * (axis.count - 1) + 1)
+
+
+def _map(n: int, y_m: float, x0: float, refine: int = 1, p_reach: float | None = None):
+    """The map at (n, y_m, x0, p0 = 0) on the default axes, each refined
+    `refine` times, or with its p axis widened to p_reach beyond sqrt(2n+1)
+    at no coarser a spacing."""
+    params, inp = GateParams(n, y_m), CoherentParams(x0, 0.0)
+    xa, pa = default_axes(params, inp)
+    if p_reach is not None:
+        reach = params.radius + p_reach
+        pa = Grid1D(-reach, reach, 2 * math.ceil(reach / pa.spacing) + 1)
+    return params, inp, wigner_mehler(params, inp, _refined(xa, refine), _refined(pa, refine))
+
+
+@pytest.mark.parametrize("n, bound", [(5, 3e-13), (300, 1e-13), (3000, 2e-12)])
+def test_mehler_map_is_pure(n, bound):
+    # 2 pi int int W^2 dx dp = 1 on the default axes: -1.1e-13, 2.8e-14 and
+    # 6.8e-13 measured, where the Simpson mass is off by 1e-8 to 1.4e-7
+    _, _, w = _map(n, 0.0, 0.0)
+    wx, wp = integration_weights(w.x_axis), integration_weights(w.p_axis)
+    assert abs(2.0 * np.pi * wx @ (w.values * w.values) @ wp - 1.0) <= bound
+
+
+@pytest.mark.parametrize(
+    "n, y_m, x0, bound",
+    [(5, 0.0, 0.0, 5e-15), (300, 0.0, 0.0, 3e-13), (300, 3.0, 1.0, 5e-13),
+     (3000, 0.0, 0.0, 1e-11)],
+)
+def test_mehler_p_marginal_is_the_output_density(n, y_m, x0, bound):
+    # int W dp = |psi~(x)|^2 / P = pi^{-1/2} e^{-(x-x0)^2} h_n(x-y_m)^2 sqrt(2 pi)/M_n
+    # row by row, on a p axis widened to +/-(sqrt(2n+1) + 12): 1.5e-15,
+    # 1.0e-13, 1.5e-13 and 3.0e-12 of its peak measured
+    params, _, w = _map(n, y_m, x0, p_reach=12.0)
+    x = w.x_axis.xs
+    density = (np.exp(-((x - x0) ** 2)) * eval_hermite_fn(n, x - y_m) ** 2
+               * np.sqrt(2.0) / outcome_norm(n, y_m - x0))
+    marginal = w.values @ integration_weights(w.p_axis)
+    np.testing.assert_allclose(marginal, density, rtol=0, atol=bound * np.max(density))
+
+
+@pytest.mark.parametrize(
+    "n, y_m, x0, rtol",
+    [(5, 0.0, 0.0, 2e-14), (100, 0.0, 5.0, 5e-11), (300, 0.0, 0.0, 3e-14),
+     (300, 0.0, 5.0, 1e-13), (3000, 0.0, 0.0, 3e-12)],
+)
+def test_mehler_overlap_with_the_cat_is_its_fidelity(n, y_m, x0, rtol):
+    # 2 pi int int W W_cat dx dp = |<cat|psi~>|^2 = F_cat. The product of the
+    # two maps' fringes oscillates twice as fast as either, so the axes are
+    # twice as dense as the default: on the default axes (100, 0, 5) gives
+    # 0.018 for an F_cat of 1.27e-4. Measured 5.3e-15, 1.3e-11 (1.6e-15
+    # absolute), 7.0e-15, 2.3e-14 and 1.0e-12 relative
+    params, inp, w = _map(n, y_m, x0, refine=2)
+    cat = wigner_cat_reference(perfect_cat(params, inp), w.x_axis, w.p_axis).values
+    wx, wp = integration_weights(w.x_axis), integration_weights(w.p_axis)
+    overlap = 2.0 * np.pi * wx @ (w.values * cat) @ wp
+    assert overlap == pytest.approx(fidelity_cat_scan(n, y_m, x0), rel=rtol, abs=0)
+
+
+@pytest.mark.parametrize(
+    "n, y_m, x0, rtol", [(300, 0.0, 0.0, 1e-12), (300, 3.0, 1.0, 1e-12), (3000, 0.0, 0.0, 1e-11)]
+)
+def test_mehler_cells_match_exact_arithmetic(n, y_m, x0, rtol):
+    # the centre of the default axes, a fringe 3 columns from it and the p
+    # edge of its row, against the 50-digit closed form: at most 1.6e-15 of
+    # the peak; at the p edge, where W is 2e-8 of its peak, up to 2.0e-13 of
+    # the cell at n = 300 and 2.7e-12 at 3000, the error of the log-space
+    # Poisson weights
+    params, inp = GateParams(n, y_m), CoherentParams(x0, 0.0)
+    xa, pa = default_axes(params, inp)
+    w = wigner_mehler(params, inp, xa, pa).values
+    peak = np.max(np.abs(w))
+    i, j = xa.count // 2, pa.count // 2
+    for cell in ((i, j), (i, j + 3), (i, pa.count - 1)):
+        exact = float(wigner_cell_exact(n, y_m, x0, 0.0, xa.xs[cell[0]], pa.xs[cell[1]]))
+        assert abs(w[cell] - exact) <= min(1e-14 * peak, rtol * abs(exact)), cell
