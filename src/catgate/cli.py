@@ -3,12 +3,12 @@
 Every command writes one table: a header of glossary symbols and one
 record per scan point, all floats serialized with 17 significant digits.
 Rows are formatted and written in blocks, and the renderer holds one
-block at a time. A column of the handler's data is either plain, an array
-of its numbers, or factored, its distinct values and each row's index into
-them; a factored column's values are formatted once per table, a plain
-column's cells with their block. The index of a scan axis or of a constant
-column is computed a block at a time, so no array is as long as the table
-besides the values the handler computed. Identical invocations produce
+block at a time. A column of the handler's data is either plain, its
+numbers, or factored, its distinct values and each row's index into them;
+a factored column's values are formatted once per table, a plain column's
+cells with their block. The index of a scan axis or of a constant column,
+and scl-map's image momenta, are computed a block at a time, so no array
+is as long as the table besides the values the handler computed. Identical invocations produce
 byte-identical files; timing metadata is opt-in for that reason. Exit
 status is 0 on success, 1 when the reader of stdout closes the pipe early,
 2 for an invalid configuration or an --out file that cannot be opened, 3
@@ -197,17 +197,13 @@ def _run_scl_map(p: dict):
     from .gate import GateParams
     from .phase_map import map_disk
 
-    params = GateParams(p["n"], p["y_m"])
-    disk = map_disk(params, (p["x0"], p["p0"]), p["radius"], p["samples"])
-    (q, mom), (upper, lower) = disk.source, disk.preimage
-    sizes = [q.size, upper.size, lower.size]
+    disk = map_disk(GateParams(p["n"], p["y_m"]), (p["x0"], p["p0"]), p["radius"], p["samples"])
+    sizes = [disk.source[0].size, *(rows.size for rows in disk.preimage)]
     branch = (["source", "upper", "lower"], np.repeat(np.arange(3, dtype=np.uint8), sizes))
-    # the gate keeps q, so each image's q is that of its preimage, a row of source
-    rows = np.concatenate([np.arange(q.size), upper, lower],
-                          dtype=np.min_scalar_type(q.size), casting="unsafe")
-    mom = np.concatenate([mom, disk.upper, disk.lower])
-    metadata = {"dropped": disk.dropped, "upper_count": upper.size, "lower_count": lower.size}
-    return ["branch", "q", "p"], [branch, (q, rows), mom], metadata
+    metadata = {"dropped": disk.dropped, "upper_count": sizes[1], "lower_count": sizes[2]}
+    # the gate keeps q, so each image's q is that of its preimage, and the
+    # disk computes its p column a block at a time
+    return ["branch", "q", "p"], [branch, (disk.source[0], disk.rows), disk], metadata
 
 
 _HANDLERS = {
@@ -396,11 +392,12 @@ def _row_blocks(data: list, quote, lead: bytes, end: bytes):
     """The rows as text, _BLOCK_ROWS at a time: each row is `lead`, its
     cells joined by commas, then `end`.
 
-    A column is plain, an array of numbers, or factored, a pair of its
-    values and each row's index into them. An index is anything with a
-    size, its row count, whose slice start:stop is an array of those rows'
-    indices: an explicit array, or a _Strided index, which makes each
-    block's slice when it is read. A factored column's values are formatted
+    A column is plain, its numbers, or factored, a pair of its values and
+    each row's index into them. A plain column, or an index, is anything
+    with a size, its row count, whose slice start:stop is an array of those
+    rows' numbers or indices: an explicit array, or an object that makes
+    each block's slice when it is read, as a _Strided index and a
+    phase_map.DiskImage's momenta do. A factored column's values are formatted
     once, numbers by _number_cells and labels (a list) by `quote`, and each
     block gathers its cells from them; a plain column's cells are made per
     block by _g17_cells. The text is %.17g's byte for byte, from digits

@@ -199,7 +199,9 @@ def _log_factorials(size: int) -> np.ndarray:
     every n up to it, and the rows held take at most four times the memory
     of the longest one n asked for.
     """
-    row = np.array([math.lgamma(j + 1.0) for j in range(size)])
+    # filled from a generator: a list would hold a float object per entry, 5
+    # times the row
+    row = np.fromiter((math.lgamma(j + 1.0) for j in range(size)), float, count=size)
     row.flags.writeable = False
     return row
 

@@ -163,7 +163,7 @@ def test_criterion_5_outcome_density_structure(capsys):
         5,
         ok,
         f"shift/evenness={shift_worst:.2e}, |int P - 1|={norm_err:.2e}, "
-        f"series vs quadrature={method_worst:.2e}",
+        f"closed form vs quadrature={method_worst:.2e}",
     )
     assert shift_worst <= 1e-10
     assert norm_err <= 1e-8
@@ -272,6 +272,6 @@ def test_criterion_8_series_engine_speedup(capsys):
         capsys,
         8,
         ok,
-        f"series {fast * 1e3:.3f} ms, quadrature {slow * 1e3:.3f} ms, speedup {ratio:.1f}x",
+        f"closed form {fast * 1e3:.3f} ms, quadrature {slow * 1e3:.3f} ms, speedup {ratio:.1f}x",
     )
     assert ratio >= 10.0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from catgate.metrics import (
     window_probability,
 )
 from catgate.numerics import Grid1D
-from catgate.phase_map import map_disk
+from catgate.phase_map import map_disk, map_point
 from catgate.states import CoherentParams
 from catgate.wigner import (
     WignerGrid,
@@ -423,20 +424,34 @@ def _wigner_table():
     return argv, echo, ["x", "p", "W_mehler", "W_quadrature", "W_cat"], rows, metadata
 
 
+def _scl_map_reference(n, y_m, center, samples):
+    """argv, echo, columns, rows and metadata of the scl-map table of a unit
+    disk, its image momenta taken from map_point on the whole lattice."""
+    argv = ["scl-map", "--n", str(n), "--ym", repr(y_m), "--x0", repr(center[0]),
+            "--p0", repr(center[1]), "--samples", str(samples)]
+    params = GateParams(n, y_m)
+    disk = map_disk(params, center, 1.0, samples)
+    (q, p), (upper, lower) = disk.source, disk.preimage
+    _, p_lower, p_upper = map_point(params, q, p)
+    rows = []
+    for label, pre, ps in (("source", range(q.size), p), ("upper", upper, p_upper),
+                           ("lower", lower, p_lower)):
+        rows += [[label, float(q[r]), float(ps[r])] for r in pre]
+    assert 0 < lower.size <= upper.size < q.size and disk.dropped > 0
+    echo = {"n": n, "y_m": y_m, "x0": center[0], "p0": center[1], "radius": 1.0,
+            "samples": samples}
+    metadata = {"dropped": disk.dropped, "upper_count": upper.size, "lower_count": lower.size}
+    return argv, echo, ["branch", "q", "p"], rows, metadata
+
+
 def _scl_map_table():
     # the disk center is a tangency point and its left half has no image
-    argv = ["scl-map", "--n", "0", "--ym", "1", "--x0", "0", "--p0", "5", "--samples", "9"]
-    disk = map_disk(GateParams(0, 1.0), (0.0, 5.0), 1.0, 9)
-    (q, p), (upper, lower) = disk.source, disk.preimage
-    rows = []
-    for label, (qs, ps) in (("source", (q, p)), ("upper", (q[upper], disk.upper)),
-                            ("lower", (q[lower], disk.lower))):
-        rows += [[label, float(q), float(p)] for q, p in zip(qs, ps)]
-    assert disk.dropped > 0 and q[upper].size > q[lower].size
-    echo = {"n": 0, "y_m": 1.0, "x0": 0.0, "p0": 5.0, "radius": 1.0, "samples": 9}
-    metadata = {"dropped": disk.dropped, "upper_count": q[upper].size,
-                "lower_count": q[lower].size}
-    return argv, echo, ["branch", "q", "p"], rows, metadata
+    return _scl_map_reference(0, 1.0, (0.0, 5.0), 9)
+
+
+def _scl_map_straddle_table():
+    # the disk straddles the band edge q = 3: 5214 rows, more than one block
+    return _scl_map_reference(4, 0.0, (2.5, 0.5), 2000)
 
 
 def _prob_density_table():
@@ -527,6 +542,26 @@ def test_renderer_matches_row_by_row_rule(table, capsys):
 def test_renderer_block_boundaries(table, block, capsys, monkeypatch):
     monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", block)
     _assert_matches_reference(table, capsys)
+
+
+def _first_different_line(text: str, expected: str):
+    """(index, line, expected line) of the first line where the two texts
+    differ, or None. pytest's own diff of two texts this long takes minutes."""
+    pairs = enumerate(itertools.zip_longest(text.splitlines(), expected.splitlines()))
+    return next(((i, a, b) for i, (a, b) in pairs if a != b), None)
+
+
+@pytest.mark.parametrize("block", [7, 512, 1 << 20])
+@pytest.mark.parametrize("table", [_scl_map_table, _scl_map_straddle_table])
+def test_scl_map_blocks_inside_a_branch_match_the_reference(table, block, capsys, monkeypatch):
+    # the p column is computed a block at a time, and here a block holds the
+    # end of the samples' rows or of upper's and the start of the next branch
+    argv, _, columns, rows, _ = table()
+    labels = [row[0] for row in rows]
+    assert all(labels.index(label) % block for label in ("upper", "lower"))
+    monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", block)
+    assert main(argv) == 0
+    assert _first_different_line(capsys.readouterr().out, _reference_csv(columns, rows)) is None
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -688,6 +723,23 @@ def test_wigner_engines_peak_is_two_maps_plus_one_oracle_slice_and_block():
         tracemalloc.stop()
     floats = 2 * 401 * 401 + 2 * 1201 * (52 + catgate.wigner._BLOCK_ROWS)
     assert peak <= 8 * floats + 0.25e6
+
+
+def test_scl_map_peak_per_sample(tmp_path):
+    # the disk keeps its lattice and its table's rows, and the momenta are
+    # computed a block at a time: 57.6 bytes a sample at 200000 samples, 24
+    # of them the q column's text (87.2 when the image momenta were stored)
+    samples = 200_000
+    argv = ["scl-map", "--n", "4", "--ym", "3", "--x0", "3", "--p0", "3",
+            "--samples", str(samples), "--out", str(tmp_path / "map.csv")]
+    assert main(argv) == 0  # fills the formatter's caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 66 * samples
 
 
 def test_wigner_past_the_double_range_is_quiet(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal
 
@@ -170,3 +171,20 @@ def test_log_factorials_are_built_once_per_n(monkeypatch):
     row = numerics._log_factorials(256)
     assert not row.flags.writeable
     assert row[:201].tolist() == [lgamma(j + 1.0) for j in range(201)]
+
+
+def test_log_factorials_row_is_the_list_build_without_its_list():
+    build = numerics._log_factorials.__wrapped__
+    row = build(300)
+    assert row.dtype == float and row.size == 300
+    assert row.tobytes() == np.array([math.lgamma(j + 1.0) for j in range(300)]).tobytes()
+    # the row is its only large allocation: 8 MB at 2^20 entries, where a list
+    # of their floats first took 40 MB traced
+    size = 1 << 20
+    tracemalloc.start()
+    try:
+        build(size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * size

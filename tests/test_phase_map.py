@@ -123,8 +123,8 @@ def test_disk_image_centroids_straddle_resource_circle():
     upper_q = im.source[0][im.preimage[0]]
     assert upper_q.size == im.source[0][im.preimage[1]].size == 256
     np.testing.assert_allclose(np.mean(upper_q), 3.0, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(np.mean(im.upper), 6.0, rtol=0, atol=0.15)
-    np.testing.assert_allclose(np.mean(im.lower), 0.0, rtol=0, atol=0.15)
+    np.testing.assert_allclose(np.mean(im.momenta(0)), 6.0, rtol=0, atol=0.15)
+    np.testing.assert_allclose(np.mean(im.momenta(1)), 0.0, rtol=0, atol=0.15)
 
 
 def test_disk_far_from_band_is_fully_dropped():
@@ -157,8 +157,8 @@ def test_disk_images_keep_source_order():
             lower.append((q, p - np.sqrt(disc)))
             upper.append((q, p + np.sqrt(disc)))
     assert tangent > 0 and dropped == im.dropped > 0
-    for image, rows, expected in zip((im.upper, im.lower), im.preimage, (upper, lower)):
-        pairs = np.column_stack([im.source[0][rows], image])
+    for branch, (rows, expected) in enumerate(zip(im.preimage, (upper, lower))):
+        pairs = np.column_stack([im.source[0][rows], im.momenta(branch)])
         np.testing.assert_allclose(pairs, expected, rtol=0, atol=1e-15)
 
 
@@ -166,8 +166,8 @@ def test_map_disk_is_deterministic():
     first = map_disk(GateParams(3, 1.0), (0.5, -0.5), 1.2, 100)
     second = map_disk(GateParams(3, 1.0), (0.5, -0.5), 1.2, 100)
     assert first.dropped == second.dropped
-    for a, b in zip((first.source, first.upper, first.lower, first.preimage),
-                    (second.source, second.upper, second.lower, second.preimage)):
+    for a, b in zip((first.source, first.preimage, first.rows, first[:]),
+                    (second.source, second.preimage, second.rows, second[:])):
         np.testing.assert_array_equal(a, b)
 
 
@@ -214,5 +214,34 @@ def test_preimage_rows_give_each_image_its_q(params, center, samples):
     # the rows of every sample with an image, and of every sample with two
     assert np.array_equal(upper, np.flatnonzero(count > 0))
     assert np.array_equal(lower, np.flatnonzero(count == 2))
-    assert np.array_equal(p_upper[upper], disk.upper)
-    assert np.array_equal(p_lower[lower], disk.lower)
+    # the momenta are map_point's bit for bit, whole or in slices
+    assert np.array_equal(p_upper[upper], disk.momenta(0))
+    assert np.array_equal(p_lower[lower], disk.momenta(1))
+    assert np.array_equal(p_lower[lower][2:5], disk.momenta(1, slice(2, 5)))
+    # the table's rows: every sample, then upper's images, then lower's, in the
+    # smallest unsigned type that holds the sample count, with preimage its tail
+    assert disk.rows.dtype == np.min_scalar_type(q.size)
+    assert np.array_equal(disk.rows, np.concatenate([np.arange(q.size), upper, lower]))
+    assert all(np.shares_memory(rows, disk.rows) for rows in disk.preimage)
+    assert disk.size == disk.rows.size
+
+
+@pytest.mark.parametrize(
+    "params, center, samples",
+    [(GateParams(0, 1.0), (0.0, 5.0), 9), (GateParams(4, 0.0), (2.5, 0.5), 2000)],
+)
+def test_disk_reads_as_the_table_p_column(params, center, samples):
+    # every block of rows, wherever it starts and ends among the samples and
+    # the two branches, is that block of p, p + sqrt(D) and p - sqrt(D)
+    disk = map_disk(params, center, 1.0, samples)
+    (q, p), (upper, lower) = disk.source, disk.preimage
+    _, p_lower, p_upper = map_point(params, q, p)
+    column = np.concatenate([p, p_upper[upper], p_lower[lower]])
+    assert np.array_equal(disk[:], column)
+    ends = [q.size, q.size + upper.size]
+    for block in (1, 2, 7, 512):
+        for start in range(0, column.size, block):
+            assert np.array_equal(disk[start : start + block], column[start : start + block])
+    for start, stop in ((0, column.size + 5), (ends[0] - 1, ends[1] + 1), (ends[1], ends[1]),
+                        (column.size, column.size + 3)):
+        assert np.array_equal(disk[start:stop], column[start:stop])
