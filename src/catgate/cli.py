@@ -1,21 +1,21 @@
 """Command-line front end emitting scan data as deterministic CSV or JSON.
 
 Every command writes one table: a header of glossary symbols and one
-record per scan point, all floats serialized with 17 significant digits.
-Rows are formatted and written in blocks, and the renderer holds one
-block at a time. A column of the handler's data is either plain, its
-numbers, or factored, its distinct values and each row's index into them;
-a factored column's values are formatted once per table, a plain column's
-cells with their block. The index of a scan axis or of a constant column,
-and scl-map's image momenta, are computed a block at a time, so no array
-is as long as the table besides the values the handler computed. Identical invocations produce
-byte-identical files; timing metadata is opt-in for that reason. Exit
-status is 0 on success, 1 when the reader of stdout closes the pipe early,
-2 for an invalid configuration or an --out file that cannot be opened, 3
-when the numerics refuse the requested point.
-Each command imports the modules it computes with when it runs, and json
-is imported only for JSON output, so that `import catgate.cli` loads no
-more of the package than catgate.errors and catgate.numerics.
+record per scan point, all floats serialized with 17 significant digits,
+in blocks of rows, one block held at a time. A column of the handler's
+data is plain, its numbers, or factored, its distinct values and each
+row's index into them, whose values are formatted once per table. The
+index of a scan axis or of a constant column and scl-map's image momenta
+are made a block at a time, and a Wigner map a tile of x rows at a time,
+so only `wigner --engine both`'s two maps are as long as the table.
+Identical invocations produce byte-identical files; timing metadata is
+opt-in for that reason. Exit status is 0 on success, 1 when the reader of
+stdout closes the pipe early, 2 for an invalid configuration or an --out
+file that cannot be opened, 3 when the numerics refuse the requested
+point, also for a map tile made as the rows are written, after the rows
+before it. Each command imports the modules it computes with when it
+runs, and json only for JSON output, so that `import catgate.cli` loads
+no more of the package than catgate.errors and catgate.numerics.
 
 A table number's text is that of C's %.17g byte for byte, made for a whole
 block of values at once by NumPy: each double's 17 digits are the integer
@@ -134,10 +134,31 @@ def _run_fidelity_scan(p: dict, column: str):
     return ["n", "y_m", "x0", "p0", column], data, {}
 
 
+class _Tiles:
+    """A plain column read from a map's tiles, arrays of its x rows in turn,
+    the first made with the column: slices, which must follow one another
+    as _row_blocks reads them, make each next tile once the held one ends."""
+
+    def __init__(self, tiles, size: int):
+        self.size, self._tiles, self._cells = size, tiles, next(tiles).ravel()
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        cells, count = [], rows.stop - rows.start
+        while count > self._cells.size:
+            cells.append(self._cells.copy())
+            count -= self._cells.size
+            del self._cells  # let go of this tile before the next one is made
+            self._cells = next(self._tiles).ravel()
+        cells.append(self._cells[:count])
+        self._cells = self._cells[count:]
+        return np.concatenate(cells)
+
+
 def _run_wigner(p: dict):
     from .gate import GateParams, perfect_cat
     from .states import CoherentParams
-    from .wigner import default_axes, wigner_cat_reference, wigner_mehler, wigner_output_quadrature
+    from .wigner import (_cat_values, _mehler_tiles, default_axes, wigner_mehler,
+                         wigner_output_quadrature)
 
     params = GateParams(p["n"], p["y_m"])
     inp = CoherentParams(p["x0"], p["p0"])
@@ -153,20 +174,21 @@ def _run_wigner(p: dict):
         oracle = wigner_output_quadrature(params, inp, x_axis, p_axis)
         grids = [wigner_mehler(params, inp, x_axis, p_axis), oracle]
         columns = ["x", "p", "W_mehler", "W_quadrature"]
-        mehler, quadrature = (g.values.ravel() for g in grids)
+        mehler, quadrature = data = [g.values.ravel() for g in grids]
         metadata["max_abs_difference"] = max(
             float(np.max(np.abs(mehler[i : i + _BLOCK_ROWS] - quadrature[i : i + _BLOCK_ROWS])))
             for i in range(0, mehler.size, _BLOCK_ROWS)
         )
     else:
-        grids = [wigner_mehler(params, inp, x_axis, p_axis)]
+        # the first tile is made here, so that a refusal comes before the header
+        data = [_Tiles(_mehler_tiles(params, inp, x_axis, p_axis), x_axis.count * p_axis.count)]
         columns = ["x", "p", "W"]
     if p["with_cat"]:
-        columns.append("W_cat")
-        grids.append(wigner_cat_reference(perfect_cat(params, inp), x_axis, p_axis))
-
-    data = [*_product(x_axis.xs, p_axis.xs), *(g.values.ravel() for g in grids)]
-    return columns, data, metadata
+        columns.append("W_cat")  # in tiles of a block's cells or more
+        cat, xs, rows = perfect_cat(params, inp), x_axis.xs, _BLOCK_ROWS // p_axis.count + 1
+        tiles = (_cat_values(cat, xs[a : a + rows], p_axis.xs) for a in range(0, xs.size, rows))
+        data.append(_Tiles(tiles, x_axis.count * p_axis.count))
+    return columns, [*_product(x_axis.xs, p_axis.xs), *data], metadata
 
 
 def _run_prob_density(p: dict):
@@ -395,14 +417,14 @@ def _row_blocks(data: list, quote, lead: bytes, end: bytes):
     A column is plain, its numbers, or factored, a pair of its values and
     each row's index into them. A plain column, or an index, is anything
     with a size, its row count, whose slice start:stop is an array of those
-    rows' numbers or indices: an explicit array, or an object that makes
-    each block's slice when it is read, as a _Strided index and a
-    phase_map.DiskImage's momenta do. A factored column's values are formatted
-    once, numbers by _number_cells and labels (a list) by `quote`, and each
-    block gathers its cells from them; a plain column's cells are made per
-    block by _g17_cells. The text is %.17g's byte for byte, from digits
-    computed exactly enough to decide their rounding, with b"%.17g" % v for
-    the values where they cannot (see _decimal_digits).
+    rows' numbers or indices: an array, or an object that makes each
+    block's slice when it is read, as a _Strided index, _Tiles and a
+    phase_map.DiskImage's momenta do. A factored column's values are
+    formatted once, numbers by _number_cells and labels (a list) by
+    `quote`, and each block gathers its cells from them; a plain column's
+    cells are made per block by _g17_cells. The text is %.17g's byte for
+    byte, from digits computed exactly enough to decide their rounding,
+    with b"%.17g" % v for the values where they cannot (see _decimal_digits).
 
     A block is a bytearray, written through a uint8 matrix view with one
     fixed-width slot per cell. It is allocated once the block's plain cells
@@ -458,14 +480,8 @@ def _json_text(value) -> str:
     """Serialize with %.17g floats; json.dumps would shorten them."""
     import json
 
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
+    if value is None or isinstance(value, (bool, int, str)):
         return json.dumps(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return "%.17g" % value
     if isinstance(value, Grid1D):
@@ -481,15 +497,12 @@ def _render_json(config: RunConfig, columns, data, metadata):
     """JSON document; rows are formatted like CSV, labels quoted by json.dumps.
 
     With timings on, render_seconds is the time from the head's yield to the
-    trailer's: formatting the rows and writing them."""
+    trailer's: formatting the rows and writing them, and making the tiles of
+    a Wigner map after its first, which compute_seconds holds."""
     import json
 
-    echo = {
-        "command": config.command,
-        "parameters": config.parameters,
-        "format": config.format,
-        "out": config.output_path,
-    }
+    echo = {"command": config.command, "parameters": config.parameters, "format": config.format,
+            "out": config.output_path}
     yield '{"config":' + _json_text(echo) + ',"columns":' + _json_text(columns) + ',"rows":['
     started = time.perf_counter()
     # every row is led by a comma, which the first one drops
@@ -503,41 +516,32 @@ def _render_json(config: RunConfig, columns, data, metadata):
 
 def run(config: RunConfig) -> int:
     """Execute one resolved invocation; returns the process exit status."""
-    if config.timings and config.format != "json":
-        print("invalid configuration: --timings needs --format json", file=sys.stderr)
-        return 2
     try:
+        if config.timings and config.format != "json":
+            raise ValueError("--timings needs --format json")
         started = time.perf_counter()
         columns, data, metadata = _HANDLERS[config.command](config.parameters)
-        elapsed = time.perf_counter() - started
         if config.timings:
-            metadata["timings"] = {"compute_seconds": elapsed}
-    except CatGateError as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    if config.format == "csv":
-        chunks = _render_csv(columns, data)
-    else:
-        chunks = _render_json(config, columns, data, metadata)
-    if config.output_path is None:
-        destination = contextlib.nullcontext(sys.stdout)
-    else:
+            metadata["timings"] = {"compute_seconds": time.perf_counter() - started}
+        chunks = (_render_csv(columns, data) if config.format == "csv"
+                  else _render_json(config, columns, data, metadata))
         try:
-            destination = open(config.output_path, "w", encoding="utf-8", newline="\n")
+            destination = (contextlib.nullcontext(sys.stdout) if config.output_path is None
+                           else open(config.output_path, "w", encoding="utf-8", newline="\n"))
         except OSError as exc:
-            print(f"invalid configuration: cannot write {config.output_path}: {exc.strerror}",
-                  file=sys.stderr)
-            return 2
-    try:
+            raise ValueError(f"cannot write {config.output_path}: {exc.strerror}")
         with destination as stream:
             for chunk in chunks:
                 stream.write(chunk)
                 # let go of the text before the next block is made
                 del chunk
             stream.flush()
+    except CatGateError as exc:
+        print(str(exc), file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader is gone: send what stdout still buffers to devnull, so
         # that its flush at interpreter exit cannot fail too
@@ -658,15 +662,9 @@ def main(argv: list[str] | None = None) -> int:
     """
     _freeze_at_exit()
     parameters = vars(build_parser().parse_args(argv))
-    return run(
-        RunConfig(
-            command=parameters.pop("command"),
-            output_path=parameters.pop("out"),
-            format=parameters.pop("format"),
-            timings=parameters.pop("timings"),
-            parameters=parameters,
-        )
-    )
+    return run(RunConfig(command=parameters.pop("command"), output_path=parameters.pop("out"),
+                         format=parameters.pop("format"), timings=parameters.pop("timings"),
+                         parameters=parameters))
 
 
 if __name__ == "__main__":

@@ -64,7 +64,7 @@ _ORACLE_SPACING = 0.02
 # one block of the other at a time
 _ORACLE_BUDGET = 5_000_000
 # x rows per block of the oracle's correlation rows
-_BLOCK_ROWS = 64
+_BLOCK_ROWS = 32
 # most state-grid points times p columns per slice of the oracle's kernel (1 MB)
 _SLICE_POINTS = 1 << 16
 # most Hermite plus Poisson values per chunk of wigner_mehler's orders, and
@@ -75,6 +75,9 @@ _CHUNK_VALUES = 1 << 16
 # full speed, where a subnormal one costs it about a hundred times as long;
 # the Hermite mantissas stay below 2^401, so no sum comes near overflow
 _WEIGHT_SHIFT = 256
+# most values of one tile of wigner_mehler's x rows, 64 MB: the map at
+# n = 10^4 on default axes (1623 x 1623) is one tile of 2.63 M values
+_TILE_VALUES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -164,18 +167,25 @@ def wigner_mehler(
     whose density M_n/sqrt(2 pi) is below 1e-300 has no conditional state
     and raises ZeroProbabilityError before anything is sampled.
 
-    The orders come in chunks of at most _CHUNK_VALUES Hermite plus Poisson
-    values (512 kB), and each chunk's contraction is added into the (nx, np)
-    result a block of at most _CHUNK_VALUES values at a time; where a chunk
-    raises an x's exponent, that x's sums so far are scaled down to it,
-    exactly. So the memory is the result plus one chunk and one block,
+    The map is made a tile of T = min(nx, max(_CHUNK_VALUES // np, n + 1))
+    whole x rows at a time (_mehler_tiles), each in its rows of the result;
+    T np above _TILE_VALUES raises GridCoverageError before any tile
+    exists, and a tile with a value that is not finite raises ValueError.
+    In each tile the orders come in chunks of _CHUNK_VALUES // (nx + np),
+    as for a map in one tile, so a chunk holds at most _CHUNK_VALUES
+    Hermite plus Poisson values (512 kB), and its contraction is added into
+    the tile a block of at most _CHUNK_VALUES values at a time; where a
+    chunk raises an x's exponent, that x's sums so far are scaled down to
+    it, exactly. So the memory is the result plus one chunk and one block,
     whatever n is: 7.4 MB traced at n = 3000 on default axes (889 x 889),
-    6.3 MB of it the result. A map whose orders fit one chunk, as every map
-    up to n = 53 on 601 x 601 axes does, is one (nx, n+1) by (n+1, np)
-    product. The chunk's Poisson columns, k0..k1-1 of
-    numerics._poisson_weights, are scaled by sqrt(c_k) 2^_WEIGHT_SHIFT in
-    place, and the sums by 2^-_WEIGHT_SHIFT after the contraction, so that
-    no weight enters it as a subnormal, which the FPU multiplies about a
+    6.3 MB of it the result. A tile whose orders fit one chunk is one
+    (T, n+1) by (n+1, np) product: at n = 10 on 601 x 601 axes, six tiles
+    of 109 rows. Centred default axes hold one tile, in which the tile loop
+    runs once over every row, except at n = 246 to 265.
+    The chunk's Poisson columns, k0..k1-1 of numerics._poisson_weights, are
+    made for each tile and scaled by sqrt(c_k) 2^_WEIGHT_SHIFT in place,
+    and the sums by 2^-_WEIGHT_SHIFT after the contraction, so that no
+    weight enters it as a subnormal, which the FPU multiplies about a
     hundred times slower (at n = 3000, 1% of the weights would be, and
     would take most of its time); that changes no bit where the unscaled
     sums stay normal.
@@ -186,45 +196,68 @@ def wigner_mehler(
     the log-space Poisson weights. On default axes 2 pi int int W^2 is 1 to
     6.8e-13 at n = 3000.
     """
+    values = np.empty((x_axis.count, p_axis.count))
+    for _ in _mehler_tiles(params, inp, x_axis, p_axis, values):
+        pass
+    return WignerGrid(x_axis, p_axis, values)
+
+
+def _mehler_tiles(params: GateParams, inp: CoherentParams, x_axis: Grid1D, p_axis: Grid1D,
+                  out: np.ndarray | None = None):
+    """Yield wigner_mehler's map a tile of x rows at a time, each made in its
+    rows of out if out is given; nothing is computed before the first tile
+    is asked for."""
     n = params.n
     m_n = _conditional_norm(params, inp)
+    tile = min(x_axis.count, max(_CHUNK_VALUES // p_axis.count, n + 1))
+    if tile * p_axis.count > _TILE_VALUES:
+        raise GridCoverageError(
+            f"Wigner map at n={n} on {x_axis.count} x {p_axis.count} points is made in tiles of "
+            f"{tile * p_axis.count} values, over the budget of {_TILE_VALUES} values a tile"
+        )
     x_t = x_axis.xs - params.y_m
     p_t = p_axis.xs - inp.p0
     # a square past the double range is inf, where the x factor is 0
     with np.errstate(over="ignore"):
         scale = np.exp(-((x_axis.xs - inp.x0) ** 2)) * (np.pi**-0.75 / m_n)
     roots = np.ldexp(np.sqrt(_central_binomials(n)), _WEIGHT_SHIFT)
-    orders = islice(_hermite_orders(np.sqrt(2.0) * x_t), 0, 2 * n + 1, 2)
     size = max(1, _CHUNK_VALUES // (x_axis.count + p_axis.count))
     rows = max(1, _CHUNK_VALUES // p_axis.count)
-    for k0 in range(0, n + 1, size):
-        k1 = min(k0 + size, n + 1)
-        hermite = np.empty((k1 - k0, x_axis.count))
-        binexps = np.empty(hermite.shape, dtype=np.int32)
-        for k, (mantissa, binexp) in enumerate(islice(orders, k1 - k0)):
-            hermite[k], binexps[k] = mantissa, binexp
-        top = binexps.max(axis=0)
-        if k0 == 0:
-            common = top
-        elif np.any(top > common):
-            # scale down, in place and exactly, the rows whose exponent this chunk raises
-            np.ldexp(values, np.minimum(common - top, 0)[:, None], out=values)
-            np.maximum(common, top, out=common)
-        # bring the chunk's rows to each x's exponent
-        binexps -= common
-        np.ldexp(hermite, binexps, out=hermite)
-        del binexps
-        poisson = _poisson_weights(p_t, n, k0, k1)
-        poisson *= roots[k0:k1]
-        if k0 == 0:
-            values = hermite.T @ poisson.T
-        else:
-            for start in range(0, x_axis.count, rows):
-                values[start : start + rows] += hermite[:, start : start + rows].T @ poisson.T
-        del hermite, poisson
-    np.ldexp(values, -_WEIGHT_SHIFT, out=values)
-    values *= np.ldexp(scale, common)[:, None]
-    return WignerGrid(x_axis, p_axis, values)
+    for a in range(0, x_axis.count, tile):
+        x = slice(a, a + tile)
+        orders = islice(_hermite_orders(np.sqrt(2.0) * x_t[x]), 0, 2 * n + 1, 2)
+        for k0 in range(0, n + 1, size):
+            k1 = min(k0 + size, n + 1)
+            hermite = np.empty((k1 - k0, scale[x].size))
+            binexps = np.empty(hermite.shape, dtype=np.int32)
+            for k, (mantissa, binexp) in enumerate(islice(orders, k1 - k0)):
+                hermite[k], binexps[k] = mantissa, binexp
+            top = binexps.max(axis=0)
+            if k0 == 0:
+                common = top
+            elif np.any(top > common):
+                # scale down, in place and exactly, the rows whose exponent this chunk raises
+                np.ldexp(values, np.minimum(common - top, 0)[:, None], out=values)
+                np.maximum(common, top, out=common)
+            # bring the chunk's rows to each x's exponent
+            binexps -= common
+            np.ldexp(hermite, binexps, out=hermite)
+            del binexps
+            poisson = _poisson_weights(p_t, n, k0, k1)
+            poisson *= roots[k0:k1]
+            if k0 == 0:
+                values = np.matmul(hermite.T, poisson.T, out=None if out is None else out[x])
+            else:
+                for start in range(0, hermite.shape[1], rows):
+                    values[start : start + rows] += hermite[:, start : start + rows].T @ poisson.T
+            del hermite, poisson
+        np.ldexp(values, -_WEIGHT_SHIFT, out=values)
+        values *= np.ldexp(scale[x], common)[:, None]
+        if not np.all(np.isfinite(values)):
+            raise ValueError("Wigner values must be finite")
+        yield values
+        # the caller's tile is then the only one held while the next is made
+        del values
 
 
 def wigner_quadrature(state: WaveFunctionGrid, x_axis: Grid1D, p_axis: Grid1D) -> WignerGrid:
@@ -241,9 +274,9 @@ def wigner_quadrature(state: WaveFunctionGrid, x_axis: Grid1D, p_axis: Grid1D) -
     _SLICE_POINTS complex values (1 MB) where the state grid allows, and
     each slice is contracted with the correlation rows of _BLOCK_ROWS x
     values at a time, which are read off the state as strided views and
-    rebuilt for every slice. Besides the result, the memory is one kernel
-    slice plus one block of correlation rows: 3.8 MB in all at n = 300 on a
-    401 x 401 map. A state grid whose count times the p count exceeds
+    rebuilt for every slice; a slice's kernel goes before the next one is
+    built. Besides the result, the memory is one kernel slice plus one
+    block of correlation rows: 3.2 MB in all at n = 300 on a 401 x 401 map. A state grid whose count times the p count exceeds
     _ORACLE_BUDGET raises GridCoverageError before any kernel is built.
     """
     grid = state.grid
@@ -291,6 +324,8 @@ def wigner_quadrature(state: WaveFunctionGrid, x_axis: Grid1D, p_axis: Grid1D) -
             block /= np.pi
             residue = max(residue, float(np.max(np.abs(block.imag))))
             values[rows, cols] = block.real
+        # the next slice's kernel is built once this one is let go
+        del kernel, block
     if residue > 1e-10:
         raise GridCoverageError(f"imaginary residue {residue:.2e}; state grid too coarse")
     return WignerGrid(x_axis, p_axis, values)
@@ -361,11 +396,17 @@ def wigner_cat_reference(cat: CatSuperposition, x_axis: Grid1D, p_axis: Grid1D) 
     overflows however far apart the components are. No state is sampled
     and nothing is integrated.
     """
-    x_t = (x_axis.xs - cat.x0)[:, None]
-    p_t = p_axis.xs - cat.p0
+    return WignerGrid(x_axis, p_axis, _cat_values(cat, x_axis.xs, p_axis.xs))
+
+
+def _cat_values(cat: CatSuperposition, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """wigner_cat_reference's (x.size, p.size) values, cell by cell the same
+    for any x rows and p columns."""
+    x_t = (x - cat.x0)[:, None]
+    p_t = p - cat.p0
     # the one (nx, np) array, built in place from an x column and p rows
     values = 2.0 * cat.parity_sign * np.exp(-p_t * p_t) * np.cos(2.0 * (cat.theta + cat.r * x_t))
     values += np.exp(-((p_t - cat.r) ** 2)) + np.exp(-((p_t + cat.r) ** 2))
     values *= np.exp(-x_t * x_t)
     values /= np.pi * cat.norm_factor
-    return WignerGrid(x_axis, p_axis, values)
+    return values

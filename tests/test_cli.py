@@ -508,14 +508,23 @@ def _large_outcome_table():
     return argv, echo, ["n", "y_m", "x0", "P"], rows, {}
 
 
+def _first_different_line(text: str, expected: str):
+    """(index, line, expected line) of the first line where the two texts
+    differ, or None when they are equal. pytest's own diff of two texts
+    this long takes minutes."""
+    pairs = enumerate(itertools.zip_longest(text.split("\n"), expected.split("\n")))
+    return next(((i, a, b) for i, (a, b) in pairs if a != b), None)
+
+
 def _assert_matches_reference(table, capsys):
     argv, echo, columns, rows, metadata = table()
     assert main(argv) == 0
-    assert capsys.readouterr().out == _reference_csv(columns, rows)
+    assert _first_different_line(capsys.readouterr().out, _reference_csv(columns, rows)) is None
     assert main(argv + ["--format", "json"]) == 0
     config = {"command": argv[0], "parameters": echo, "format": "json", "out": None}
     document = {"config": config, "columns": columns, "rows": rows, "metadata": metadata}
-    assert capsys.readouterr().out == _reference_json(document) + "\n"
+    text = capsys.readouterr().out
+    assert _first_different_line(text, _reference_json(document) + "\n") is None
 
 
 _TABLES = [
@@ -544,13 +553,6 @@ def test_renderer_block_boundaries(table, block, capsys, monkeypatch):
     _assert_matches_reference(table, capsys)
 
 
-def _first_different_line(text: str, expected: str):
-    """(index, line, expected line) of the first line where the two texts
-    differ, or None. pytest's own diff of two texts this long takes minutes."""
-    pairs = enumerate(itertools.zip_longest(text.splitlines(), expected.splitlines()))
-    return next(((i, a, b) for i, (a, b) in pairs if a != b), None)
-
-
 @pytest.mark.parametrize("block", [7, 512, 1 << 20])
 @pytest.mark.parametrize("table", [_scl_map_table, _scl_map_straddle_table])
 def test_scl_map_blocks_inside_a_branch_match_the_reference(table, block, capsys, monkeypatch):
@@ -562,6 +564,94 @@ def test_scl_map_blocks_inside_a_branch_match_the_reference(table, block, capsys
     monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", block)
     assert main(argv) == 0
     assert _first_different_line(capsys.readouterr().out, _reference_csv(columns, rows)) is None
+
+
+def _tiled_wigner_table(n: int, with_cat: bool):
+    """argv, echo, columns, rows and metadata of a 41 x 37 wigner map, W
+    from wigner_mehler and W_cat from wigner_cat_reference on the whole axes."""
+    argv = ["wigner", "--n", str(n), "--x0", "0.5", "--ym", "0.2", "--x-range=-3:4:41",
+            "--p-range=-4:4:37"] + ["--with-cat"] * with_cat
+    params, inp = GateParams(n, 0.2), CoherentParams(0.5, 0.0)
+    xa, pa = Grid1D(-3.0, 4.0, 41), Grid1D(-4.0, 4.0, 37)
+    grids = [wigner_mehler(params, inp, xa, pa).values]
+    if with_cat:
+        grids.append(wigner_cat_reference(perfect_cat(params, inp), xa, pa).values)
+    rows = [[float(xa.xs[i]), float(pa.xs[j])] + [float(g[i, j]) for g in grids]
+            for i in range(xa.count) for j in range(pa.count)]
+    echo = {"n": n, "x0": 0.5, "p0": 0.0, "y_m": 0.2, "engine": "mehler", "with_cat": with_cat,
+            "x_axis": _axis(-3.0, 4.0, 41), "p_axis": _axis(-4.0, 4.0, 37)}
+    return argv, echo, ["x", "p", "W", "W_cat"][: 3 + with_cat], rows, {"engine": "mehler"}
+
+
+# tiles of 1 x row (n = 0) and of 7 (n = 6, its orders in chunks of 3), so that
+# a block of 512 rows holds tiles and ends inside one
+@pytest.mark.parametrize("with_cat", [False, True])
+@pytest.mark.parametrize("n, tile", [(0, 1), (6, 7)])
+def test_tiled_map_prints_wigner_mehler(n, tile, with_cat, capsys, monkeypatch):
+    monkeypatch.setattr(catgate.wigner, "_CHUNK_VALUES", tile * 37)
+    monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", 512)
+    table = _tiled_wigner_table(n, with_cat)
+    args = (GateParams(n, 0.2), CoherentParams(0.5, 0.0), Grid1D(-3.0, 4.0, 41),
+            Grid1D(-4.0, 4.0, 37))
+    rows = [len(t) for t in catgate.wigner._mehler_tiles(*args)]
+    assert rows == [tile] * (41 // tile) + [41 % tile] * (41 % tile > 0)
+    assert 512 % (tile * 37)
+    _assert_matches_reference(lambda: table, capsys)
+
+
+def _poison_tile(monkeypatch, index: int) -> None:
+    """Make the x rows of wigner_mehler's tile `index` nan."""
+    orders, calls = catgate.wigner._hermite_orders, []
+
+    def poisoned(x):
+        calls.append(x.size)
+        return orders(x * np.nan if len(calls) == index + 1 else x)
+
+    monkeypatch.setattr(catgate.wigner, "_hermite_orders", poisoned)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_refused_tile_exits_as_a_refused_handler(fmt, capsys, monkeypatch):
+    # the first tile is made by the handler and refused before the header; the
+    # second while the rows print, after the 4 blocks of 64 rows that lie in
+    # the first tile's 7 x 37 rows
+    monkeypatch.setattr(catgate.wigner, "_CHUNK_VALUES", 7 * 37)
+    monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", 64)
+    argv = _tiled_wigner_table(6, True)[0] + ["--format", fmt]
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    outputs = []
+    for index in (0, 1):
+        _poison_tile(monkeypatch, index)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "invalid configuration: Wigner values must be finite\n"
+        outputs.append(captured.out)
+    assert outputs[0] == ""
+    assert whole.startswith(outputs[1])
+    # 256 rows: CSV's header and each row end in a newline, and each JSON row
+    # but the first opens with ",["
+    assert outputs[1].count("\n" if fmt == "csv" else ",[") == (257 if fmt == "csv" else 255)
+
+
+def test_tile_over_its_budget_is_refused_before_it_exists(capsys, monkeypatch):
+    # tiles of 1001 x 1001 values at n = 1000 on 1001 x 1001 points, 8 MB
+    # each, against a budget of 2^16 values
+    monkeypatch.setattr(catgate.wigner, "_TILE_VALUES", 1 << 16)
+    argv = ["wigner", "--n", "1000", "--x-range=-6:6:1001", "--p-range=-40:40:1001"]
+    main(["wigner", "--n", "1", "--x-range=-6:6:3", "--p-range=-1:1:3"])
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("Wigner map at n=1000 on 1001 x 1001 points is made in tiles of "
+                            "1002001 values, over the budget of 65536 values a tile\n")
+    assert peak < 8 * 1001 * 1001 / 8
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -616,26 +706,12 @@ def test_json_streams_one_block_per_write(monkeypatch):
     assert len(blocks) > 1 and max(row_counts) <= 7
 
 
-def _render_peak(argv: list[str]) -> int:
-    """Largest traced allocation while rendering the table of `argv`, the
-    handler's data made beforehand."""
-    parameters = vars(build_parser().parse_args(argv))
-    config = RunConfig(
-        command=parameters.pop("command"),
-        output_path=parameters.pop("out"),
-        format=parameters.pop("format"),
-        timings=parameters.pop("timings"),
-        parameters=parameters,
-    )
-    columns, data, metadata = catgate.cli._HANDLERS[config.command](parameters)
-    if config.format == "csv":
-        chunks = catgate.cli._render_csv(columns, data)
-    else:
-        chunks = catgate.cli._render_json(config, columns, data, metadata)
+def _table_peak(argv: list[str]) -> int:
+    """Largest traced allocation while `main` runs `argv` with its table
+    written to the null device: the handler's data and the rendering."""
     tracemalloc.start()
     try:
-        for _ in chunks:
-            pass
+        assert main(argv + ["--out", os.devnull]) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -643,14 +719,16 @@ def _render_peak(argv: list[str]) -> int:
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_render_memory_does_not_grow_with_the_table(fmt, monkeypatch):
-    # the render holds one block, not the table: 16 times the rows, about the
-    # same peak, which moves only with the rows of a block
+    # the render holds one block, not the table, and the map one tile: 16 times
+    # the rows, about the same peak, which moves only with the rows of a block
+    # and of a tile (tiles of at most 4096 values here, 40 and 11 x rows)
     monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", 512)
+    monkeypatch.setattr(catgate.wigner, "_CHUNK_VALUES", 1 << 12)
     peaks = []
     for count in (101, 101, 401):  # the first run fills the formatter's caches
         argv = ["wigner", "--n", "10", f"--x-range=-6:6:{count}", f"--p-range=-9:9:{count}",
                 "--format", fmt]
-        peaks.append(_render_peak(argv))
+        peaks.append(_table_peak(argv))
     assert peaks[2] < 1.25 * peaks[1]
 
 
@@ -674,43 +752,37 @@ def test_render_memory_of_plain_columns_is_one_block():
     assert peaks[2] <= peaks[1] + 64e3
 
 
-def _table_peak_beyond_values(argv: list[str]) -> int:
-    """Largest traced allocation while the handler of `argv` computes its
-    data and its CSV table is rendered, less the bytes of the plain columns
-    (the values it computed)."""
-    parameters = vars(build_parser().parse_args(argv))
-    command = parameters.pop("command")
-    for key in ("out", "format", "timings"):
-        parameters.pop(key)
-    tracemalloc.start()
-    try:
-        columns, data, _ = catgate.cli._HANDLERS[command](parameters)
-        values = sum(column.nbytes for column in data if not isinstance(column, tuple))
-        with open(os.devnull, "w") as stream:
-            for chunk in catgate.cli._render_csv(columns, data):
-                stream.write(chunk)
-                del chunk
-        return tracemalloc.get_traced_memory()[1] - values
-    finally:
-        tracemalloc.stop()
-
-
-def test_table_memory_beyond_the_map_does_not_grow():
-    # the x and p columns' indices are made a block at a time: 16 times the
-    # rows, the same peak beyond the map's own bytes (an index as long as
-    # the table would add 2.4 MB here)
+def test_table_memory_beyond_the_map_does_not_grow(monkeypatch):
+    # the x and p columns' indices are made a block at a time, and the map a
+    # tile at a time (at most 8192 values here): 16 times the rows, the same
+    # peak, map included (an index as long as the table would add 2.4 MB here,
+    # and a held map 4.8 MB)
+    monkeypatch.setattr(catgate.wigner, "_CHUNK_VALUES", 1 << 13)
     peaks = []
     for count in (201, 201, 801):  # the first run fills the formatter's caches
         argv = ["wigner", "--n", "10", f"--x-range=-6:6:{count}", f"--p-range=-9:9:{count}"]
-        peaks.append(_table_peak_beyond_values(argv))
+        peaks.append(_table_peak(argv))
     assert peaks[2] < peaks[1] + 256e3
+
+
+def test_map_peak_does_not_grow_with_the_map():
+    # a CSV map is printed a tile of x rows at a time (65 and 32 rows here, at
+    # most _CHUNK_VALUES values): the 2001^2 map peaks about 90 kB above the
+    # 1001^2 one, the axes' values and their formatted text, where the held
+    # map took 24 MB more
+    peaks = []
+    for count in (1001, 1001, 2001):  # the first run fills the formatter's caches
+        argv = ["wigner", "--n", "10", f"--x-range=-6:6:{count}", f"--p-range=-9:9:{count}"]
+        peaks.append(_table_peak(argv))
+    assert peaks[2] <= peaks[1] + 128e3
 
 
 def test_wigner_engines_peak_is_two_maps_plus_one_oracle_slice_and_block():
     # the oracle runs first, then the closed form, and the difference is taken
     # a block at a time, so the closed form's chunks never meet the oracle's
-    # kernel slice (1201 x 52 complex) and block of correlation rows (64 x 1201
-    # complex): 3.79 MB traced, where the closed form first took 5.08 MB
+    # kernel slice (1201 x 52 complex) and block of correlation rows (32 x 1201
+    # complex): 3.58 MB traced, the two maps and one chunk, where the closed
+    # form first took 5.08 MB
     argv = ["wigner", "--n", "300", "--engine", "both", "--x-range=-6:6:401",
             "--p-range=-29:29:401"]
     parameters = vars(build_parser().parse_args(argv))

@@ -165,3 +165,20 @@ def test_closed_pipe_ends_the_run_quietly():
     assert child.wait(timeout=60) == 1
     assert child.stderr.read() == b""
     child.stderr.close()
+
+
+# The address space capped at 1.5 GB before NumPy loads: the one tile of the
+# 22921 x 22921 default map at n = 2e6, 4.2 GB, would end in MemoryError (exit 1)
+OVER_BUDGET = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+from catgate.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_map_over_the_tile_budget_exits_3():
+    child = _python(OVER_BUDGET, "wigner", "--n", "2000000")
+    assert child.returncode == 3, child.stderr.decode()
+    assert child.stdout == b""
+    assert "over the budget of 8388608 values a tile" in child.stderr.decode()

@@ -460,7 +460,8 @@ def _quadrature_peak(x_axis: Grid1D, p_axis: Grid1D) -> int:
 
 def test_quadrature_memory_is_one_block_plus_one_kernel_slice():
     # the result, a slice of 52 of the 1201-point kernel's columns and one
-    # 64-row block of correlation rows: 1.29 + 1.00 + 1.23 MB, 3.79 MB traced
+    # 32-row block of correlation rows: 1.29 + 1.00 + 0.61 MB, 3.15 MB traced
+    # (3.67 MB while the next slice's kernel was built beside the last one)
     xa, pa = Grid1D(-6.0, 6.0, 401), Grid1D(-29.0, 29.0, 401)
     assert aligned_state_grid(xa, -9.0, 9.0).count == 1201
     floats = xa.count * pa.count + 2 * 1201 * (52 + catgate.wigner._BLOCK_ROWS)
@@ -503,6 +504,22 @@ def test_mehler_chunks_agree_with_one_product(values, monkeypatch):
     np.testing.assert_allclose(chunked, default, rtol=0, atol=1e-15 * np.max(np.abs(default)))
 
 
+@pytest.mark.parametrize("values", [1, 5 * 25, 9 * 25])
+def test_mehler_tiles_agree_with_one_tile(values, monkeypatch):
+    # tiles of 5 x rows (n = 4 sets that floor) and of 9, one order a chunk or,
+    # at 9 * 25 values, three, against the map in one tile
+    args = (GateParams(4, 1.5), CoherentParams(0.5, -1.0), Grid1D(-6.0, 6.0, 41),
+            Grid1D(-5.0, 5.0, 25))
+    default = wigner_mehler(*args).values
+    monkeypatch.setattr(catgate.wigner, "_CHUNK_VALUES", values)
+    tiles = list(catgate.wigner._mehler_tiles(*args))
+    assert [len(t) for t in tiles[:-1]] == [max(5, values // 25)] * (len(tiles) - 1)
+    assert len(tiles) > 1
+    np.testing.assert_array_equal(np.concatenate(tiles), wigner_mehler(*args).values)
+    np.testing.assert_allclose(wigner_mehler(*args).values, default, rtol=0,
+                               atol=1e-15 * np.max(np.abs(default)))
+
+
 def test_outcome_norm_memory_is_one_poisson_matrix():
     # the (offsets x (n+1)) Poisson matrix is weighted in place: one matrix of
     # doubles, 16.0 MB, plus vectors and one block of lam + log j!
@@ -513,7 +530,7 @@ def test_outcome_norm_memory_is_one_poisson_matrix():
 @pytest.mark.parametrize("x0", [-3.5, 3.5])
 def test_quadrature_residue_is_the_largest_of_all_blocks(x0, monkeypatch):
     # weights that are not even in z leave an imaginary part, largest in the rows
-    # around x0, in the first of two blocks for x0 = -3.5 and the last for 3.5, and
+    # around x0, in the first of three blocks for x0 = -3.5 and the last for 3.5, and
     # in p columns 11 and 19, in the third and fifth of eight 4-column slices
     def skewed(grid):
         return integration_weights(grid) * np.linspace(0.5, 1.5, grid.count)
