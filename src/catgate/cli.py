@@ -238,8 +238,9 @@ _HANDLERS = {
 }
 
 
-# Rows per written block, and most values formatted at once.
-_BLOCK_ROWS = 1 << 12
+# Rows per written block, and most values formatted at once (one block of
+# two plain columns peaks at 0.34 MB traced, 0.52 MB at 2^12 rows).
+_BLOCK_ROWS = 1 << 11
 # Cells gathered at a time. Their index holds 24 uint16 offsets a cell, into
 # 26 source bytes a cell, so a gather may span up to 2520 cells; np.take
 # copies it to intp, 192 bytes a cell.

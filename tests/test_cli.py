@@ -734,7 +734,7 @@ def test_render_memory_does_not_grow_with_the_table(fmt, monkeypatch):
 
 def test_render_memory_of_plain_columns_is_one_block():
     # a block's cells, matrix and text go before the next block is formatted, so
-    # four blocks of two plain columns peak where one does: 0.52 MB
+    # four blocks of two plain columns peak where one does: 0.34 MB
     rows = catgate.cli._BLOCK_ROWS
     rng = np.random.default_rng(3)
     peaks = []
