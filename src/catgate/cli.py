@@ -5,7 +5,7 @@ record per scan point, all floats serialized with 17 significant digits,
 in blocks of rows, one block held at a time. A column of the handler's
 data is plain, its numbers, or factored, its distinct values and each
 row's index into them, whose values are formatted once per table. The
-index of a scan axis or of a constant column and scl-map's image momenta
+index of a scan axis or of a constant column and every column of scl-map
 are made a block at a time, and a Wigner map a tile of x rows at a time,
 so only `wigner --engine both`'s two maps are as long as the table.
 Identical invocations produce byte-identical files; timing metadata is
@@ -21,9 +21,10 @@ A table number's text is that of C's %.17g byte for byte, made for a whole
 block of values at once by NumPy: each double's 17 digits are the integer
 nearest |v| 10^(16-x), x its decimal exponent, computed exactly enough in
 double-double arithmetic to decide the rounding, then laid out by %g's
-rules. The few values whose rounding this cannot decide (within 1e-9 of a
-tie, or near a power of ten), and 0, -0, inf and nan, are formatted by
-b"%.17g" % v itself.
+rules in a cell of fixed width, with NULs in the places its layout leaves
+empty, which the renderer drops. The few values whose rounding this cannot
+decide (within 1e-9 of a tie, or near a power of ten), and 0, -0, inf and
+nan, are formatted by b"%.17g" % v itself.
 """
 
 from __future__ import annotations
@@ -220,12 +221,11 @@ def _run_scl_map(p: dict):
     from .phase_map import map_disk
 
     disk = map_disk(GateParams(p["n"], p["y_m"]), (p["x0"], p["p0"]), p["radius"], p["samples"])
-    sizes = [disk.source[0].size, *(rows.size for rows in disk.preimage)]
-    branch = (["source", "upper", "lower"], np.repeat(np.arange(3, dtype=np.uint8), sizes))
-    metadata = {"dropped": disk.dropped, "upper_count": sizes[1], "lower_count": sizes[2]}
-    # the gate keeps q, so each image's q is that of its preimage, and the
-    # disk computes its p column a block at a time
-    return ["branch", "q", "p"], [branch, (disk.source[0], disk.rows), disk], metadata
+    branch, *plain = disk.columns()
+    metadata = {"dropped": disk.dropped, "upper_count": disk.preimage[0].size,
+                "lower_count": disk.preimage[1].size}
+    # the disk computes each column a block at a time
+    return ["branch", "q", "p"], [(["source", "upper", "lower"], branch), *plain], metadata
 
 
 _HANDLERS = {
@@ -241,56 +241,41 @@ _HANDLERS = {
 # Rows per written block, and most values formatted at once (one block of
 # two plain columns peaks at 0.34 MB traced, 0.52 MB at 2^12 rows).
 _BLOCK_ROWS = 1 << 11
-# Cells gathered at a time. Their index holds 24 uint16 offsets a cell, into
-# 26 source bytes a cell, so a gather may span up to 2520 cells; np.take
-# copies it to intp, 192 bytes a cell.
-_GATHER_ROWS = 1 << 9
-# Bytes of the widest %.17g of a double, e.g. -2.2250738585072014e-308.
-_NUMBER_WIDTH = 24
-# Columns of the per-value source row that a cell is gathered from: the 17
-# digits, then these characters, the exponent's sign and 3 digits, and a NUL.
-_MINUS, _POINT, _ZERO, _E, _NUL = 17, 18, 19, 20, 25
-# Cell layouts per sign and count of significant digits: %f for a decimal
-# exponent X = -4..16, then %e with a 2-digit and with a 3-digit exponent.
-_FORMS = 23
+# Bytes of a number's cell, which holds any %.17g of a double with NULs in
+# the places its layout leaves empty: the sign, "0." and up to 3 zeros for
+# %f below 1, the lead digit, the point (byte _POINT), 16 digits, then "e",
+# the exponent's sign and 3 digits. Below 1, %f's lead digit takes the
+# point's byte.
+_NUMBER_WIDTH = 28
+_POINT = 6
 
 
 @functools.cache
-def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 4 ASCII digits and the trailing zeros of every g < 10^4, and the
-    sign and 3 digits of every decimal exponent X >= -324 (row X + 324).
-    Each 4-byte text is one uint32, so that a lookup moves one item."""
-    digits = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
-    for i in range(4):
-        digits[..., i] = np.arange(48, 58).reshape((10,) + (1,) * (3 - i))
-    digits = digits.reshape(10000, 4)
-    zero = (digits == 48).view(np.uint8)
-    trailing = zero[:, 3] * (1 + zero[:, 2] * (1 + zero[:, 1] * (1 + zero[:, 0])))
+def _cell_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The texts a cell is made of, built once.
+
+    Row g of the first is the 4 digits of g < 10^4, and row 10^4 + g the
+    same with its trailing zeros NUL. Column X + 324 of the second holds,
+    for the decimal exponent X >= -324, three int64s read as bytes 0-7 of
+    the cell: the bytes that do not depend on the digits, with "0" for the
+    lead digit; the lead digit's place value; and the point's, which goes
+    where the digits after the lead are not all 0. Row X + 324 of the third
+    is the cell's last 5 bytes: NULs for %f, "e" and the exponent for %e.
+    """
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, 10000) + 48
+    trailing = digits == 48
+    for i in (2, 1, 0):
+        trailing[i] &= trailing[i + 1]
+    groups = np.concatenate([digits, np.where(trailing, 0, digits)], axis=1).T.copy()
     x = np.arange(-324, 309)
-    exponent = digits[abs(x)]
-    exponent[:, 0] = np.where(x < 0, ord("-"), ord("+"))
-    return digits.view(np.uint32).ravel(), trailing, exponent.view(np.uint32).ravel()
-
-
-@functools.cache
-def _layout(code: int) -> list[int]:
-    """The source column of each byte of one cell layout, code =
-    (negative * 17 + significant - 1) * _FORMS + form."""
-    negative, rest = divmod(code, 17 * _FORMS)
-    significant, form = rest // _FORMS + 1, rest % _FORMS
-    x = form - 4
-    if form < 21 and x < 0:
-        text = [_ZERO, _POINT] + [_ZERO] * (-x - 1) + list(range(significant))
-    else:
-        before = x + 1 if form < 21 else 1  # digits ahead of the point
-        text = list(range(before))
-        if significant > before:
-            text += [_POINT, *range(before, significant)]
-        if form >= 21:
-            # "e", the exponent's sign, then its last 2 or all 3 digits
-            text += [_E, _E + 1] + ([_E + 2] if form == 22 else []) + [_E + 3, _E + 4]
-    text = [_MINUS] * negative + text
-    return text + [_NUL] * (_NUMBER_WIDTH - len(text))
+    # %f below 1 has "0." and its zeros ahead of the lead digit, in the point's byte
+    below = (-4 <= x) & (x < 0)
+    lead = 8 * (_POINT - 1 + below)
+    heads = np.array([48 << lead, 1 << lead, np.where(below, 0, 46 << 8 * _POINT)])
+    for k in range(1, 5):  # X = -k
+        heads[0, 324 - k] += int.from_bytes(b"0.000"[: k + 1], "little") << 8 * (_POINT - 1 - k)
+    tails = [b"e%+03d" % e * (not -4 <= e < 17) for e in range(-324, 309)]
+    return groups.view("S4").ravel(), heads, np.array(tails, dtype="S5")
 
 
 @functools.cache
@@ -354,49 +339,59 @@ def _decimal_digits(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _g17_cells(values: np.ndarray) -> np.ndarray:
-    """b"%.17g" % v of every v, as fixed-width cells padded with NULs.
+    """b"%.17g" % v of every v, as cells of _NUMBER_WIDTH bytes with NULs
+    where their layout leaves a place empty.
 
     The digits come from _decimal_digits and are laid out by %g's rules:
     %f for a decimal exponent -4 <= x < 17 and %e otherwise, trailing zeros
-    stripped, an exponent of at least 2 digits. Each cell is gathered from
-    a row of its value's digits and characters by the byte map of its
-    layout, _GATHER_ROWS cells at a time. Values whose digits are
-    undecided, and 0, -0, inf and nan, go through b"%.17g" % v itself, so
-    the text is that of %.17g byte for byte. The peak is about 80 bytes a
-    value, with the cells.
+    stripped, an exponent of at least 2 digits. A cell is the bytes of its
+    exponent's layout (_cell_tables) with the sign, the lead digit, the
+    point and the 16 digits after the lead put in their places, the digits
+    4 at a time from the texts of the groups, each stripped of its
+    trailing zeros where every later group is 0000. For x = 1..16, once per
+    exponent present, the integer digits then move one place ahead, over
+    the point, which follows them. Values whose digits are undecided, and
+    0, -0, inf and nan, go through b"%.17g" % v itself, so the text is that
+    of %.17g byte for byte. The peak is about 75 bytes a value, that of
+    _decimal_digits.
     """
-    digits, trailing, exponent = _digit_tables()
+    groups_text, heads, tails = _cell_tables()
     v = np.asarray(values, dtype=float)
     special = ~np.isfinite(v) | (v == 0)
     integer, x, decided = _decimal_digits(np.where(special, 1.0, np.abs(v)))
-
-    groups = np.empty((v.size, 4), dtype=np.int16)
+    # each group's row of texts, stripped where every later group is 0000
+    groups, stripped = np.empty((4, v.size), dtype=np.int16), True
     for i in (3, 2, 1, 0):
-        integer, groups[:, i] = np.divmod(integer, 10000)
-    source = np.empty((v.size, _NUL + 1), dtype=np.uint8)
-    source[:, 0] = integer + 48
-    source[:, 1:17] = digits[groups].view(np.uint8).reshape(v.size, 16)
-    source[:, _MINUS : _E + 1] = np.frombuffer(b"-.0e", dtype=np.uint8)
-    source[:, _E + 1 : _NUL] = exponent[x + 324].view(np.uint8).reshape(v.size, 4)
-    source[:, _NUL] = 0
-    # trailing zeros of the 16 digits after the first, group by group
-    zeros = trailing[groups[:, 3]]
-    for i in (2, 1, 0):
-        zeros += (zeros == 4 * (3 - i)) * trailing[groups[:, i]]
-    form = np.where((x >= -4) & (x < 17), x + 4, np.where(abs(x) < 100, 21, 22))
-    code = ((v < 0) * 17 + 16 - zeros) * _FORMS + form
-    # the gather below, the peak, reads only source and code
-    del integer, x, groups, zeros, form
-    present = np.flatnonzero(np.bincount(code))
-    layouts = np.zeros((present[-1] + 1, _NUMBER_WIDTH), dtype=np.uint16)
-    layouts[present] = [_layout(c) for c in present.tolist()]
+        lead = integer // 10000
+        np.subtract(integer, lead * 10000, out=groups[i], casting="unsafe")
+        np.add(groups[i], 10000, out=groups[i], where=stripped)
+        stripped, integer = groups[i] == 10000, lead
     cells = np.empty((v.size, _NUMBER_WIDTH), dtype=np.uint8)
-    # np.take reads a flat index into the rows of source it is given; every
-    # index is in range, and mode="clip" keeps it from buffering its output
-    for rows in (slice(s, s + _GATHER_ROWS) for s in range(0, v.size, _GATHER_ROWS)):
-        index = layouts[code[rows]]
-        index += np.arange(0, source[rows].size, _NUL + 1, dtype=np.uint16)[:, None]
-        np.take(source[rows], index, out=cells[rows], mode="clip")
+    digits = cells[:, _POINT + 1 : -5].view("S4")
+    for i in range(4):
+        digits[:, i] = groups_text.take(groups[i], mode="clip")
+    del groups
+    # each lookup by exponent reads a flat index; mode="clip" keeps np.take
+    # from buffering its output
+    index = x.astype(np.intp) + 324
+    cells[:, -5:].view("S5")[:, 0] = tails.take(index, mode="clip")
+    head, place, point = heads.take(index, axis=1, mode="clip")
+    del index
+    np.add(head, ord("-"), out=head, where=np.signbit(v))
+    place *= integer
+    point *= ~stripped
+    head += place
+    head += point
+    cells[:, :_POINT + 1].view("S7")[:, 0] = head.view("S8")
+    del head, place, point
+    # the exponents present by bincount: np.unique's first call in a process
+    # would raise its peak resident set by 1 MB
+    for k in (np.flatnonzero(np.bincount(np.clip(x, 0, 17))[1:17]) + 1).tolist():
+        rows = np.flatnonzero(x == k)
+        whole = cells[rows, _POINT + 1 : _POINT + 1 + k]
+        whole[whole == 0] = ord("0")
+        cells[rows, _POINT : _POINT + k] = whole
+        cells[rows, _POINT + k] = (cells[rows, _POINT + 1 + k] != 0) * ord(".")
     cells = cells.view(f"S{_NUMBER_WIDTH}").ravel()
     fallback = np.flatnonzero(special | ~decided)
     cells[fallback] = [b"%.17g" % f for f in v[fallback].tolist()]
@@ -419,8 +414,8 @@ def _row_blocks(data: list, quote, lead: bytes, end: bytes):
     each row's index into them. A plain column, or an index, is anything
     with a size, its row count, whose slice start:stop is an array of those
     rows' numbers or indices: an array, or an object that makes each
-    block's slice when it is read, as a _Strided index, _Tiles and a
-    phase_map.DiskImage's momenta do. A factored column's values are
+    block's slice when it is read, as a _Strided index, _Tiles and the
+    columns of a phase_map.DiskImage do. A factored column's values are
     formatted once, numbers by _number_cells and labels (a list) by
     `quote`, and each block gathers its cells from them; a plain column's
     cells are made per block by _g17_cells. The text is %.17g's byte for
@@ -431,9 +426,9 @@ def _row_blocks(data: list, quote, lead: bytes, end: bytes):
     fixed-width slot per cell. It is allocated once the block's plain cells
     are made, and the factored cells are gathered into it one column at a
     time, so that neither it nor a gathered column coexists with the
-    formatter's temporaries. Dropping the NUL padding of the slots leaves
-    the row text; the cells go before it is made, the block before the next
-    one is formatted.
+    formatter's temporaries. Dropping the NULs of the slots, a number's
+    empty places and a label's padding, leaves the row text; the cells go
+    before it is made, the block before the next one is formatted.
     """
     columns = []
     for column in data:

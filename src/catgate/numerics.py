@@ -18,6 +18,8 @@ from itertools import islice
 
 import numpy as np
 
+from .errors import GridCoverageError
+
 __all__ = [
     "Grid1D",
     "eval_hermite_fn",
@@ -35,6 +37,10 @@ _RESCALE_STEPS = 32
 _MIN_BINEXP = -(2.0**30)
 # most values of a temporary of _poisson_weights (512 kB)
 _BLOCK_VALUES = 1 << 16
+# most weights of one _poisson_weights matrix, and most entries of the row
+# of log factorials it reads (512 MB each): 4001 points at n = 10^4 take
+# 4.0e7, and one point at n = 2e7 a row of 2^25
+_POISSON_VALUES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -174,8 +180,14 @@ def _poisson_weights(t: np.ndarray, n: int, k0: int = 0, k1: int | None = None) 
     where every weight is 0 too, rather than inf, where inf - inf would make
     them nan. The exponents are formed in the result and exponentiated in
     place, so no other array is as large, and a caller may weight the
-    result in place."""
+    result in place. A matrix, or a row of log factorials, of more than
+    _POISSON_VALUES values raises GridCoverageError before either exists."""
     k1 = n + 1 if k1 is None else k1
+    row = 1 << int(n).bit_length()
+    if max(t.size * (k1 - k0), row) > _POISSON_VALUES:
+        raise GridCoverageError(f"Poisson weights of n={n} at {t.size} points take "
+                                f"{t.size * (k1 - k0)} values and {row} log factorials, "
+                                f"over the budget of {_POISSON_VALUES} values for each")
     with np.errstate(over="ignore"):
         lam = np.minimum(0.5 * t * t, np.finfo(float).max)
     log_lam = np.log(lam, out=np.full(lam.shape, -np.inf), where=lam > 0.0)
@@ -183,7 +195,7 @@ def _poisson_weights(t: np.ndarray, n: int, k0: int = 0, k1: int | None = None) 
     # the powers n - k down to 1; the column of k = n, if asked for, keeps its 0
     powers = np.arange(float(n - k0), 0.0, -1.0)[: k1 - k0]
     np.multiply(log_lam[:, None], powers, out=expo[:, : powers.size])
-    log_factorials = _log_factorials(1 << int(n).bit_length())[n::-1][k0:k1]
+    log_factorials = _log_factorials(row)[n::-1][k0:k1]
     # lam + log (n-k)! a block of rows at a time, so no temporary is as large as expo
     step = max(1, _BLOCK_VALUES // (k1 - k0))
     for start in range(0, lam.size, step):

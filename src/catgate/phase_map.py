@@ -23,7 +23,7 @@ __all__ = [
 # discriminant magnitude treated as an exact tangency (single branch)
 _TANGENT_TOL = 1e-12
 # most lattice points map_disk builds: q and p then take 80 MB, and a
-# catgate scl-map process at this budget peaks at 307 MB
+# catgate scl-map process at this budget peaks at about 211 MB
 _MAX_SAMPLES = 5_000_000
 
 
@@ -41,18 +41,17 @@ class DiskImage:
     image. The image momenta are not stored: momenta() computes them from
     their preimages through map_point.
 
-    The image is also a table: every sample, then upper's images, then
-    lower's. rows holds the source row of each of its rows, so that
-    source[0][rows] is its q column; preimage is rows' tail, not a copy.
-    Read as a column, a DiskImage is the table's p: `size` rows, and
-    disk[start:stop] computes only those rows.
+    The image is also a table of `size` rows: every sample, then upper's
+    images, then lower's. column(name, block) computes only the rows
+    `block` of its column "branch" (0 for a sample, 1 upper, 2 lower), "q"
+    or "p", and columns() gives the three as objects with a size whose
+    slice start:stop is those rows.
     """
 
     params: GateParams
     dropped: int
     source: tuple[np.ndarray, np.ndarray] = field(repr=False)
     preimage: tuple[np.ndarray, np.ndarray] = field(repr=False)
-    rows: np.ndarray = field(repr=False)
 
     def momenta(self, branch: int, images: slice = slice(None)) -> np.ndarray:
         """Momenta of a slice of the images of a branch, 0 upper and 1 lower."""
@@ -63,21 +62,47 @@ class DiskImage:
 
     @property
     def size(self) -> int:
-        return self.rows.size
+        return self.source[0].size + self.preimage[0].size + self.preimage[1].size
+
+    def column(self, name: str, block: slice) -> np.ndarray:
+        """Rows `block` of the table's column `name`, "branch", "q" or "p"."""
+        start, stop, _ = block.indices(self.size)
+        out = np.empty(max(stop - start, 0), dtype=np.uint8 if name == "branch" else float)
+        offset = 0
+        for branch, count in enumerate((self.source[0].size, *(r.size for r in self.preimage))):
+            lo, hi = max(start, offset), min(stop, offset + count)
+            if lo < hi:
+                rows, at = slice(lo - offset, hi - offset), slice(lo - start, hi - start)
+                if name == "branch":
+                    out[at] = branch
+                elif branch == 0:  # a sample's row copies it
+                    out[at] = self.source[name == "p"][rows]
+                elif name == "q":  # the gate keeps q
+                    out[at] = self.source[0][self.preimage[branch - 1][rows]]
+                else:
+                    out[at] = self.momenta(branch - 1, rows)
+            offset += count
+        return out
+
+    def columns(self) -> tuple[_Column, _Column, _Column]:
+        """The table's columns branch, q and p, each computed a slice at a time."""
+        return tuple(_Column(self, name) for name in ("branch", "q", "p"))
+
+
+@dataclass(frozen=True)
+class _Column:
+    """One column of a DiskImage's table: `size` rows, and [start:stop]
+    computes only those rows."""
+
+    image: DiskImage
+    name: str
+
+    @property
+    def size(self) -> int:
+        return self.image.size
 
     def __getitem__(self, block: slice) -> np.ndarray:
-        start, stop, _ = block.indices(self.size)
-        out = np.empty(max(stop - start, 0))
-        # the samples' rows copy their p, and each branch's rows follow them
-        head = self.source[1][start:stop]
-        out[: head.size] = head
-        offset = self.source[1].size
-        for branch, pre in enumerate(self.preimage):
-            lo, hi = max(start, offset), min(stop, offset + pre.size)
-            if lo < hi:
-                out[lo - start : hi - start] = self.momenta(branch, slice(lo - offset, hi - offset))
-            offset += pre.size
-        return out
+        return self.image.column(self.name, block)
 
 
 def _bands(params: GateParams, q: np.ndarray):
@@ -138,11 +163,11 @@ def map_disk(
     point for point. A disk whose lattice points are not all finite
     doubles raises ValueError.
 
-    The image holds the lattice, 16 bytes a sample, and its table's rows,
-    in the smallest unsigned integer type that holds the sample count.
-    Printing it as a table computes the image momenta a block at a
-    time, so a `catgate scl-map` process at the 5,000,000-sample budget
-    peaks at 307 MB, 120 MB of it the text of the factored q column.
+    The image holds the lattice, 16 bytes a sample, and its images'
+    preimage rows, in the smallest unsigned integer type that holds the
+    sample count. Printing it as a table computes every column a block at
+    a time, so a `catgate scl-map` process at the 5,000,000-sample budget
+    peaks at about 211 MB.
     """
     if not (np.all(np.isfinite(center)) and np.isfinite(radius)):
         raise ValueError("disk center and radius must be finite")
@@ -158,12 +183,8 @@ def map_disk(
         raise ValueError(f"disk of radius {radius} about {tuple(center)} has lattice "
                          "points beyond the double range")
     _, hit, two = _bands(params, q)
-    counts = [q.size, np.count_nonzero(hit), np.count_nonzero(two)]
-    rows = np.empty(sum(counts), dtype=np.min_scalar_type(q.size))
-    every, upper, lower = np.split(rows, np.cumsum(counts[:2]))
-    every[:] = np.arange(q.size, dtype=rows.dtype)
-    # a mask index copies what it selects; np.compress would first build the
+    # a mask index copies what it selects; np.flatnonzero would build the
     # selected rows as an int64 index, 8 bytes a sample
-    upper[:] = every[hit]
-    lower[:] = every[two]
-    return DiskImage(params, q.size - upper.size, (q, p), (upper, lower), rows)
+    every = np.arange(q.size, dtype=np.min_scalar_type(q.size))
+    upper, lower = every[hit], every[two]
+    return DiskImage(params, q.size - upper.size, (q, p), (upper, lower))

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -106,9 +107,10 @@ class WignerGrid:
         return float(wx @ self.values @ wp)
 
 
+@lru_cache(maxsize=1)
 def _conditional_norm(params: GateParams, inp: CoherentParams) -> float:
-    """M_n of the outcome, once its density M_n/sqrt(2 pi) has passed
-    _require_density: an outcome below 1e-300 raises ZeroProbabilityError."""
+    """M_n of the outcome once its density M_n/sqrt(2 pi) passes _require_density,
+    kept for the last (params, inp): a map's axes, closed form and oracle share it."""
     m_n = outcome_norm(params.n, params.y_m - inp.x0)
     _require_density(m_n / np.sqrt(2.0 * np.pi), params.y_m, inp.x0)
     return m_n
@@ -302,9 +304,7 @@ def wigner_quadrature(state: WaveFunctionGrid, x_axis: Grid1D, p_axis: Grid1D) -
             f"points, over its budget of {_ORACLE_BUDGET} for their product"
         )
     half = (grid.count - 1) // 2
-    padded = np.concatenate(
-        [np.zeros(half, dtype=complex), state.values, np.zeros(half, dtype=complex)]
-    )
+    padded = np.pad(state.values, half)
     # row j is padded[i : i + 2 half + 1], centred on the state sample i of x_j
     windows = sliding_window_view(padded, 2 * half + 1)[idx[0] : idx[-1] + 1 : step]
     z = np.arange(-half, half + 1) * h

@@ -556,14 +556,13 @@ def test_renderer_block_boundaries(table, block, capsys, monkeypatch):
 @pytest.mark.parametrize("block", [7, 512, 1 << 20])
 @pytest.mark.parametrize("table", [_scl_map_table, _scl_map_straddle_table])
 def test_scl_map_blocks_inside_a_branch_match_the_reference(table, block, capsys, monkeypatch):
-    # the p column is computed a block at a time, and here a block holds the
+    # every column is computed a block at a time, and here a block holds the
     # end of the samples' rows or of upper's and the start of the next branch
-    argv, _, columns, rows, _ = table()
+    argv, echo, columns, rows, metadata = table()
     labels = [row[0] for row in rows]
     assert all(labels.index(label) % block for label in ("upper", "lower"))
     monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", block)
-    assert main(argv) == 0
-    assert _first_different_line(capsys.readouterr().out, _reference_csv(columns, rows)) is None
+    _assert_matches_reference(lambda: (argv, echo, columns, rows, metadata), capsys)
 
 
 def _tiled_wigner_table(n: int, with_cat: bool):
@@ -652,6 +651,25 @@ def test_tile_over_its_budget_is_refused_before_it_exists(capsys, monkeypatch):
     assert captured.err == ("Wigner map at n=1000 on 1001 x 1001 points is made in tiles of "
                             "1002001 values, over the budget of 65536 values a tile\n")
     assert peak < 8 * 1001 * 1001 / 8
+
+
+def test_poisson_matrix_over_its_budget_is_refused_before_it_exists(capsys):
+    # the 1001 x 3000001 densities would take 22.4 GiB
+    argv = ["prob-density", "--n", "3000000", "--x-range=-10:10:1001"]
+    main(["prob-density", "--n", "1", "--ym", "0"])
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("Poisson weights of n=3000000 at 1001 points take 3003001001 values "
+                            "and 4194304 log factorials, over the budget of 67108864 values for "
+                            "each\n")
+    assert peak < 2e6
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -798,9 +816,10 @@ def test_wigner_engines_peak_is_two_maps_plus_one_oracle_slice_and_block():
 
 
 def test_scl_map_peak_per_sample(tmp_path):
-    # the disk keeps its lattice and its table's rows, and the momenta are
-    # computed a block at a time: 57.6 bytes a sample at 200000 samples, 24
-    # of them the q column's text (87.2 when the image momenta were stored)
+    # the disk keeps its lattice and its images' preimage rows, and every
+    # column is computed a block at a time: about 38 bytes a sample at 200000
+    # samples (56.8 when the q column's text and the table's rows were held,
+    # 87.2 when the image momenta were stored too)
     samples = 200_000
     argv = ["scl-map", "--n", "4", "--ym", "3", "--x0", "3", "--p0", "3",
             "--samples", str(samples), "--out", str(tmp_path / "map.csv")]
@@ -811,7 +830,18 @@ def test_scl_map_peak_per_sample(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 66 * samples
+    assert peak < 42 * samples
+
+
+@pytest.mark.parametrize("engine", ["mehler", "both"])
+def test_wigner_request_computes_its_norm_once(engine, monkeypatch):
+    # default_axes, the closed form and the oracle each need M_n, which one
+    # request computes once between them
+    norm, calls = catgate.wigner.outcome_norm, []
+    monkeypatch.setattr(catgate.wigner, "outcome_norm", lambda n, d: calls.append(n) or norm(n, d))
+    catgate.wigner._conditional_norm.cache_clear()
+    assert main(["wigner", "--n", "3", "--engine", engine, "--out", os.devnull]) == 0
+    assert calls == [3]
 
 
 def test_wigner_past_the_double_range_is_quiet(capsys):
@@ -1058,6 +1088,7 @@ def test_g17_cells_match_percent_g():
     bits = np.random.default_rng(8).integers(0, 2**64, size=200_000, dtype=np.uint64)
     values = bits.view(np.float64)
     values = np.concatenate([values[np.isfinite(values)], _g17_edge_values()])
-    cells = catgate.cli._g17_cells(values).tolist()
+    # the printed text: a cell without the NULs of its empty places
+    cells = [cell.replace(b"\0", b"") for cell in catgate.cli._g17_cells(values).tolist()]
     expected = [b"%.17g" % v for v in values.tolist()]
     assert [(v, c) for v, c, e in zip(values.tolist(), cells, expected) if c != e] == []

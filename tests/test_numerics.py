@@ -11,6 +11,7 @@ from scipy.integrate import simpson
 from scipy.special import binom, eval_hermite
 
 from catgate import numerics
+from catgate.errors import GridCoverageError
 from catgate.gate import _central_binomials
 from catgate.metrics import scan_grid
 from catgate.numerics import (
@@ -171,6 +172,15 @@ def test_log_factorials_are_built_once_per_n(monkeypatch):
     row = numerics._log_factorials(256)
     assert not row.flags.writeable
     assert row[:201].tolist() == [lgamma(j + 1.0) for j in range(201)]
+
+
+def test_poisson_row_over_the_budget_is_refused_before_it_exists(monkeypatch):
+    # 10 columns at n = 2^26 would read a row of 2^27 log factorials, 1 GiB;
+    # with no row builder, a missing check fails here instead of allocating it
+    monkeypatch.setattr(numerics, "_log_factorials", None)
+    with pytest.raises(GridCoverageError, match="take 10 values and 134217728 log factorials, "
+                       "over the budget of 67108864 values for each"):
+        numerics._poisson_weights(np.zeros(1), 1 << 26, 0, 10)
 
 
 def test_log_factorials_row_is_the_list_build_without_its_list():

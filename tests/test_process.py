@@ -168,7 +168,8 @@ def test_closed_pipe_ends_the_run_quietly():
 
 
 # The address space capped at 1.5 GB before NumPy loads: the one tile of the
-# 22921 x 22921 default map at n = 2e6, 4.2 GB, would end in MemoryError (exit 1)
+# 22921 x 22921 default map at n = 2e6, 4.2 GB, and the 1001 x 3000001 Poisson
+# matrix of the densities at n = 3e6, 22.4 GiB, would end in MemoryError (exit 1)
 OVER_BUDGET = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
@@ -182,3 +183,12 @@ def test_map_over_the_tile_budget_exits_3():
     assert child.returncode == 3, child.stderr.decode()
     assert child.stdout == b""
     assert "over the budget of 8388608 values a tile" in child.stderr.decode()
+
+
+def test_poisson_matrix_over_its_budget_exits_3():
+    child = _python(OVER_BUDGET, "prob-density", "--n", "3000000", "--x-range=-10:10:1001")
+    assert child.returncode == 3, child.stderr.decode()
+    assert child.stdout == b""
+    assert child.stderr.decode() == (
+        "Poisson weights of n=3000000 at 1001 points take 3003001001 values and 4194304 log "
+        "factorials, over the budget of 67108864 values for each\n")
