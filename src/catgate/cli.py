@@ -7,7 +7,7 @@ data is plain, its numbers, or factored, its distinct values and each
 row's index into them, whose values are formatted once per table. The
 index of a scan axis or of a constant column and every column of scl-map
 are made a block at a time, and a Wigner map a tile of x rows at a time,
-so only `wigner --engine both`'s two maps are as long as the table.
+so only `wigner --engine both`'s oracle map is as long as the table.
 Identical invocations produce byte-identical files; timing metadata is
 opt-in for that reason. Exit status is 0 on success, 1 when the reader of
 stdout closes the pipe early, 2 for an invalid configuration or an --out
@@ -155,11 +155,21 @@ class _Tiles:
         return np.concatenate(cells)
 
 
+def _checked(tiles, oracle: np.ndarray, metadata: dict):
+    """Each tile once its cells' |W - oracle| is in max_abs_difference."""
+    for tile in tiles:
+        cells, rows, oracle = tile.ravel(), oracle[: tile.size], oracle[tile.size :]
+        for i in range(0, cells.size, _BLOCK_ROWS):
+            gap = float(np.abs(cells[i : i + _BLOCK_ROWS] - rows[i : i + _BLOCK_ROWS]).max())
+            metadata["max_abs_difference"] = max(metadata["max_abs_difference"], gap)
+        yield tile
+        del tile, cells  # before the next tile is made
+
+
 def _run_wigner(p: dict):
     from .gate import GateParams, perfect_cat
     from .states import CoherentParams
-    from .wigner import (_cat_values, _mehler_tiles, default_axes, wigner_mehler,
-                         wigner_output_quadrature)
+    from .wigner import _cat_values, _mehler_tiles, default_axes, wigner_output_quadrature
 
     params = GateParams(p["n"], p["y_m"])
     inp = CoherentParams(p["x0"], p["p0"])
@@ -169,21 +179,15 @@ def _run_wigner(p: dict):
         x_axis, p_axis = x_axis or x_default, p_axis or p_default
 
     metadata: dict = {"engine": p["engine"]}
+    tiles, columns, data = _mehler_tiles(params, inp, x_axis, p_axis), ["x", "p", "W"], []
     if p["engine"] == "both":
-        # the oracle first, so that its kernel slices and the closed form's
-        # chunks are never held together, and the difference a block at a time
-        oracle = wigner_output_quadrature(params, inp, x_axis, p_axis)
-        grids = [wigner_mehler(params, inp, x_axis, p_axis), oracle]
-        columns = ["x", "p", "W_mehler", "W_quadrature"]
-        mehler, quadrature = data = [g.values.ravel() for g in grids]
-        metadata["max_abs_difference"] = max(
-            float(np.max(np.abs(mehler[i : i + _BLOCK_ROWS] - quadrature[i : i + _BLOCK_ROWS])))
-            for i in range(0, mehler.size, _BLOCK_ROWS)
-        )
-    else:
-        # the first tile is made here, so that a refusal comes before the header
-        data = [_Tiles(_mehler_tiles(params, inp, x_axis, p_axis), x_axis.count * p_axis.count)]
-        columns = ["x", "p", "W"]
+        # the oracle first and whole, so that its kernel never meets a chunk
+        oracle = wigner_output_quadrature(params, inp, x_axis, p_axis).values.ravel()
+        metadata["max_abs_difference"] = 0.0
+        tiles, data = _checked(tiles, oracle, metadata), [oracle]
+        columns[2:] = ["W_mehler", "W_quadrature"]
+    # the first tile is made here, so that a refusal comes before the header
+    data.insert(0, _Tiles(tiles, x_axis.count * p_axis.count))
     if p["with_cat"]:
         columns.append("W_cat")  # in tiles of a block's cells or more
         cat, xs, rows = perfect_cat(params, inp), x_axis.xs, _BLOCK_ROWS // p_axis.count + 1
@@ -398,8 +402,10 @@ def _g17_cells(values: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _number_cells(values: np.ndarray) -> np.ndarray:
-    """_g17_cells of every value, _BLOCK_ROWS at a time."""
+def _factored_text(values, quote) -> np.ndarray:
+    """A factored column's text: labels by `quote`, numbers _BLOCK_ROWS at a time."""
+    if isinstance(values, list):
+        return np.array([quote(s).encode() for s in values], dtype=bytes)
     cells = np.empty(values.size, dtype=f"S{_NUMBER_WIDTH}")
     for start in range(0, values.size, _BLOCK_ROWS):
         cells[start : start + _BLOCK_ROWS] = _g17_cells(values[start : start + _BLOCK_ROWS])
@@ -416,11 +422,11 @@ def _row_blocks(data: list, quote, lead: bytes, end: bytes):
     rows' numbers or indices: an array, or an object that makes each
     block's slice when it is read, as a _Strided index, _Tiles and the
     columns of a phase_map.DiskImage do. A factored column's values are
-    formatted once, numbers by _number_cells and labels (a list) by
-    `quote`, and each block gathers its cells from them; a plain column's
-    cells are made per block by _g17_cells. The text is %.17g's byte for
-    byte, from digits computed exactly enough to decide their rounding,
-    with b"%.17g" % v for the values where they cannot (see _decimal_digits).
+    formatted once by _factored_text, and each block gathers its cells
+    from them; a plain column's cells are made per block by _g17_cells.
+    The text is %.17g's byte for byte, from digits computed exactly enough
+    to decide their rounding, with b"%.17g" % v for the values where they
+    cannot (see _decimal_digits).
 
     A block is a bytearray, written through a uint8 matrix view with one
     fixed-width slot per cell. It is allocated once the block's plain cells
@@ -430,16 +436,7 @@ def _row_blocks(data: list, quote, lead: bytes, end: bytes):
     empty places and a label's padding, leaves the row text; the cells go
     before it is made, the block before the next one is formatted.
     """
-    columns = []
-    for column in data:
-        if isinstance(column, tuple):
-            values, index = column
-            if isinstance(values, list):
-                text = np.array([quote(s).encode() for s in values], dtype=bytes)
-            else:
-                text = _number_cells(values)
-            column = (text, index)
-        columns.append(column)
+    columns = [(_factored_text(c[0], quote), c[1]) if isinstance(c, tuple) else c for c in data]
     template = bytearray(lead)
     slots = []
     for i, column in enumerate(columns):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhaseDomainError, SingularShearError, ZeroProbabilityError, ZeroStateError
-from .numerics import _poisson_weights, eval_hermite_fn, integrate
+from .numerics import _BLOCK_VALUES, _poisson_weights, eval_hermite_fn, integrate
 from .states import CatSuperposition, CoherentParams, WaveFunctionGrid
 
 __all__ = [
@@ -69,9 +69,17 @@ def phase_function(n: int, z):
 
 
 def _central_binomials(n: int) -> np.ndarray:
-    """c_k = C(2k,k)/4^k for k = 0..n, the coefficients of (1 - rho)^{-1/2}; all in (0, 1]."""
-    k = np.arange(1.0, n + 1.0)
-    return np.cumprod(np.concatenate(([1.0], (2.0 * k - 1.0) / (2.0 * k))))
+    """c_k = C(2k,k)/4^k for k = 0..n, the coefficients of (1 - rho)^{-1/2}; all in (0, 1]:
+    a cumprod of the (2k-1)/(2k), made in place a block at a time."""
+    c = np.ones(n + 1)
+    for a in range(1, n + 1, _BLOCK_VALUES):
+        f = c[a : a + _BLOCK_VALUES]
+        k = np.arange(2.0 * a, 2.0 * (a + f.size), 2.0)
+        np.divide(np.subtract(k, 1.0, out=f), k, out=f)
+        del k  # cumprod buffers a block to write over its input
+        f[0] *= c[a - 1]  # the product so far, so that it is one cumprod bit for bit
+        np.cumprod(f, out=f)
+    return c
 
 
 def outcome_norm(n: int, delta):

@@ -35,7 +35,7 @@ _EXP_FLOOR = 700.0
 _RESCALE_STEPS = 32
 # least exponent of h_0, so that every exponent fits an int32
 _MIN_BINEXP = -(2.0**30)
-# most values of a temporary of _poisson_weights (512 kB)
+# most values of a temporary block (512 kB)
 _BLOCK_VALUES = 1 << 16
 # most weights of one _poisson_weights matrix, and most entries of the row
 # of log factorials it reads (512 MB each): 4001 points at n = 10^4 take
@@ -178,10 +178,10 @@ def _poisson_weights(t: np.ndarray, n: int, k0: int = 0, k1: int | None = None) 
     columns is bit for bit that slice of the whole matrix. A rate past the
     double range (|t| above about 1.3e154) is taken as the largest double,
     where every weight is 0 too, rather than inf, where inf - inf would make
-    them nan. The exponents are formed in the result and exponentiated in
-    place, so no other array is as large, and a caller may weight the
-    result in place. A matrix, or a row of log factorials, of more than
-    _POISSON_VALUES values raises GridCoverageError before either exists."""
+    them nan. The exponents are formed in the result, _BLOCK_VALUES at a
+    time, and exponentiated in place, so a caller may weight it in place.
+    A matrix, or a row of log factorials, of more than _POISSON_VALUES
+    values raises GridCoverageError before either exists."""
     k1 = n + 1 if k1 is None else k1
     row = 1 << int(n).bit_length()
     if max(t.size * (k1 - k0), row) > _POISSON_VALUES:
@@ -192,14 +192,15 @@ def _poisson_weights(t: np.ndarray, n: int, k0: int = 0, k1: int | None = None) 
         lam = np.minimum(0.5 * t * t, np.finfo(float).max)
     log_lam = np.log(lam, out=np.full(lam.shape, -np.inf), where=lam > 0.0)
     expo = np.zeros((lam.size, k1 - k0))
-    # the powers n - k down to 1; the column of k = n, if asked for, keeps its 0
-    powers = np.arange(float(n - k0), 0.0, -1.0)[: k1 - k0]
-    np.multiply(log_lam[:, None], powers, out=expo[:, : powers.size])
     log_factorials = _log_factorials(row)[n::-1][k0:k1]
-    # lam + log (n-k)! a block of rows at a time, so no temporary is as large as expo
-    step = max(1, _BLOCK_VALUES // (k1 - k0))
-    for start in range(0, lam.size, step):
-        expo[start : start + step] -= lam[start : start + step, None] + log_factorials
+    cols = min(k1 - k0, _BLOCK_VALUES)
+    step = max(1, _BLOCK_VALUES // cols)
+    for c in range(0, k1 - k0, cols):
+        powers = np.arange(float(n - k0 - c), float(max(n - min(k0 + c + cols, k1), 0)), -1.0)
+        for r in range(0, lam.size, step):
+            piece = expo[r : r + step, c : c + cols]
+            np.multiply(log_lam[r : r + step, None], powers, out=piece[:, : powers.size])
+            piece -= lam[r : r + step, None] + log_factorials[c : c + cols]
     return np.exp(expo, out=expo)
 
 

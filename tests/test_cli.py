@@ -565,21 +565,29 @@ def test_scl_map_blocks_inside_a_branch_match_the_reference(table, block, capsys
     _assert_matches_reference(lambda: (argv, echo, columns, rows, metadata), capsys)
 
 
-def _tiled_wigner_table(n: int, with_cat: bool):
+def _tiled_wigner_table(n: int, with_cat: bool, engine: str = "mehler"):
     """argv, echo, columns, rows and metadata of a 41 x 37 wigner map, W
-    from wigner_mehler and W_cat from wigner_cat_reference on the whole axes."""
+    from wigner_mehler, W_quadrature from wigner_output_quadrature and W_cat
+    from wigner_cat_reference, each on the whole axes."""
     argv = ["wigner", "--n", str(n), "--x0", "0.5", "--ym", "0.2", "--x-range=-3:4:41",
-            "--p-range=-4:4:37"] + ["--with-cat"] * with_cat
+            "--p-range=-4:4:37"] + ["--engine=both"] * (engine == "both")
+    argv += ["--with-cat"] * with_cat
     params, inp = GateParams(n, 0.2), CoherentParams(0.5, 0.0)
     xa, pa = Grid1D(-3.0, 4.0, 41), Grid1D(-4.0, 4.0, 37)
-    grids = [wigner_mehler(params, inp, xa, pa).values]
+    grids, columns = [wigner_mehler(params, inp, xa, pa).values], ["x", "p", "W"]
+    metadata = {"engine": engine}
+    if engine == "both":
+        grids.append(wigner_output_quadrature(params, inp, xa, pa).values)
+        columns[2:] = ["W_mehler", "W_quadrature"]
+        metadata["max_abs_difference"] = float(np.max(np.abs(grids[0] - grids[1])))
     if with_cat:
         grids.append(wigner_cat_reference(perfect_cat(params, inp), xa, pa).values)
+        columns.append("W_cat")
     rows = [[float(xa.xs[i]), float(pa.xs[j])] + [float(g[i, j]) for g in grids]
             for i in range(xa.count) for j in range(pa.count)]
-    echo = {"n": n, "x0": 0.5, "p0": 0.0, "y_m": 0.2, "engine": "mehler", "with_cat": with_cat,
+    echo = {"n": n, "x0": 0.5, "p0": 0.0, "y_m": 0.2, "engine": engine, "with_cat": with_cat,
             "x_axis": _axis(-3.0, 4.0, 41), "p_axis": _axis(-4.0, 4.0, 37)}
-    return argv, echo, ["x", "p", "W", "W_cat"][: 3 + with_cat], rows, {"engine": "mehler"}
+    return argv, echo, columns, rows, metadata
 
 
 # tiles of 1 x row (n = 0) and of 7 (n = 6, its orders in chunks of 3), so that
@@ -598,6 +606,22 @@ def test_tiled_map_prints_wigner_mehler(n, tile, with_cat, capsys, monkeypatch):
     _assert_matches_reference(lambda: table, capsys)
 
 
+# the closed form beside its oracle, made and checked a tile at a time: the
+# bytes of the two held maps, and max_abs_difference that of the whole maps
+@pytest.mark.parametrize("with_cat", [False, True])
+@pytest.mark.parametrize("n, tile", [(0, 1), (6, 7)])
+def test_tiled_map_beside_its_oracle_prints_the_held_maps(n, tile, with_cat, capsys, monkeypatch):
+    monkeypatch.setattr(catgate.wigner, "_CHUNK_VALUES", tile * 37)
+    monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", 512)
+    table = _tiled_wigner_table(n, with_cat, "both")
+    args = (GateParams(n, 0.2), CoherentParams(0.5, 0.0), Grid1D(-3.0, 4.0, 41),
+            Grid1D(-4.0, 4.0, 37))
+    assert [len(t) for t in catgate.wigner._mehler_tiles(*args)][0] == tile
+    maps = [engine(*args).values for engine in (wigner_mehler, wigner_output_quadrature)]
+    assert table[4]["max_abs_difference"] == np.max(np.abs(maps[0] - maps[1])) > 0
+    _assert_matches_reference(lambda: table, capsys)
+
+
 def _poison_tile(monkeypatch, index: int) -> None:
     """Make the x rows of wigner_mehler's tile `index` nan."""
     orders, calls = catgate.wigner._hermite_orders, []
@@ -609,14 +633,13 @@ def _poison_tile(monkeypatch, index: int) -> None:
     monkeypatch.setattr(catgate.wigner, "_hermite_orders", poisoned)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_refused_tile_exits_as_a_refused_handler(fmt, capsys, monkeypatch):
-    # the first tile is made by the handler and refused before the header; the
-    # second while the rows print, after the 4 blocks of 64 rows that lie in
-    # the first tile's 7 x 37 rows
+def _assert_tiles_refused_as_the_handler(argv, fmt, capsys, monkeypatch) -> None:
+    """The first tile of the map `argv` prints in `fmt`, made by the handler,
+    is refused before the header; the second while the rows print, after
+    the 4 blocks of 64 rows that lie in the first tile's 7 x 37 rows."""
+    argv = argv + ["--format", fmt]
     monkeypatch.setattr(catgate.wigner, "_CHUNK_VALUES", 7 * 37)
     monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", 64)
-    argv = _tiled_wigner_table(6, True)[0] + ["--format", fmt]
     assert main(argv) == 0
     whole = capsys.readouterr().out
     outputs = []
@@ -631,6 +654,19 @@ def test_refused_tile_exits_as_a_refused_handler(fmt, capsys, monkeypatch):
     # 256 rows: CSV's header and each row end in a newline, and each JSON row
     # but the first opens with ",["
     assert outputs[1].count("\n" if fmt == "csv" else ",[") == (257 if fmt == "csv" else 255)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_refused_tile_exits_as_a_refused_handler(fmt, capsys, monkeypatch):
+    _assert_tiles_refused_as_the_handler(_tiled_wigner_table(6, True)[0], fmt, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_refused_tile_beside_the_oracle_exits_after_the_rows_before_it(fmt, capsys, monkeypatch):
+    # under --engine both the oracle is made first and whole, then the closed
+    # form's tiles as under --engine mehler, each checked as it is made
+    argv = _tiled_wigner_table(6, False, "both")[0]
+    _assert_tiles_refused_as_the_handler(argv, fmt, capsys, monkeypatch)
 
 
 def test_tile_over_its_budget_is_refused_before_it_exists(capsys, monkeypatch):
@@ -795,24 +831,21 @@ def test_map_peak_does_not_grow_with_the_map():
     assert peaks[2] <= peaks[1] + 128e3
 
 
-def test_wigner_engines_peak_is_two_maps_plus_one_oracle_slice_and_block():
-    # the oracle runs first, then the closed form, and the difference is taken
-    # a block at a time, so the closed form's chunks never meet the oracle's
-    # kernel slice (1201 x 52 complex) and block of correlation rows (32 x 1201
-    # complex): 3.58 MB traced, the two maps and one chunk, where the closed
-    # form first took 5.08 MB
+def test_wigner_engines_peak_is_one_map_plus_one_tile_or_the_oracle_slice_and_block():
+    # the oracle runs first and whole, then beside it the closed form is made,
+    # checked and printed a tile of x rows at a time (301 and 100 rows here),
+    # so handler and render hold the oracle's map and at most the larger of:
+    # the oracle's kernel slice (1201 x 52 complex) and block of correlation
+    # rows (32 x 1201 complex); a tile with one chunk of orders and one block
+    # of partial products (_CHUNK_VALUES values each); a tile and one render
+    # block. 3.31 MB traced, in the first tile, where two held maps took 3.63 MB
     argv = ["wigner", "--n", "300", "--engine", "both", "--x-range=-6:6:401",
             "--p-range=-29:29:401"]
-    parameters = vars(build_parser().parse_args(argv))
-    catgate.cli._run_wigner(parameters)
-    tracemalloc.start()
-    try:
-        catgate.cli._run_wigner(parameters)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    floats = 2 * 401 * 401 + 2 * 1201 * (52 + catgate.wigner._BLOCK_ROWS)
-    assert peak <= 8 * floats + 0.25e6
+    _table_peak(argv)  # fills the formatter's caches
+    peak = _table_peak(argv)
+    tile, chunk = 301 * 401, catgate.wigner._CHUNK_VALUES
+    phases = (2 * 1201 * (52 + catgate.wigner._BLOCK_ROWS), tile + 2 * chunk, tile + 0.35e6 / 8)
+    assert peak <= 8 * (401 * 401 + max(phases)) + 0.1e6
 
 
 def test_scl_map_peak_per_sample(tmp_path):

@@ -177,6 +177,27 @@ def test_scl_fidelity_frozen(n, x0, expected):
     np.testing.assert_allclose(fidelity_scl_scan(n, 0.0, x0), expected, rtol=0, atol=1e-12)
 
 
+# F_scl at (n, y_m, x0) beyond the band, |y_m - x0| > sqrt(2n+1), where
+# |psi_in h_n|^2 peaks at the WKB balance point, about 10 from x0 here, not
+# at x0: F = (int g h_n T)^2 / (int g h_n^2 int g T^2) with g = e^{-(x-x0)^2}
+# and T = cos or sin of the clipped branch phase, by mpmath tanh-sinh
+# quadrature over the whole line, on 1/2-wide panels from 12 below to 12
+# above the turning points and x0, split at the turning points y_m -/+
+# sqrt(2n+1) exactly, each integrand scaled to a peak of 1 first; 30 and 45
+# digits and halved panels agree to 6e-31. The scan is 9.1e-16, 5.7e-15 and
+# 5.4e-16 off. Simpson sums cut to x0 +/- 8.5 would give 1.04e-26 at (1, 0, 20)
+@pytest.mark.parametrize(
+    "n, y_m, x0, expected",
+    [
+        (1, 0.0, 20.0, 1.8631652282602751685295552110577e-29),
+        (5, 0.0, 25.0, 9.4642493651704344697835694873162e-45),
+        (40, 0.0, 30.0, 3.2978496524061841786403858470996e-56),
+    ],
+)
+def test_scl_fidelity_beyond_the_band_matches_high_precision_references(n, y_m, x0, expected):
+    assert fidelity_scl_scan(n, y_m, x0) == pytest.approx(expected, rel=2e-14, abs=0)
+
+
 def test_scl_fidelity_does_not_depend_on_p0():
     # the input's phase e^{i p0 (x - x0/2)} cancels, so no p0 moves a bit of
     # F_scl, not even one whose phase would overflow

@@ -9,9 +9,15 @@ from scipy.special import binom, factorial, genlaguerre
 
 import catgate.wigner
 from catgate.errors import GridCoverageError, ZeroProbabilityError
-from catgate.gate import GateParams, outcome_norm, perfect_cat
+from catgate.gate import GateParams, _central_binomials, outcome_norm, perfect_cat
 from catgate.metrics import fidelity_cat_scan, outcome_density
-from catgate.numerics import Grid1D, _poisson_weights, eval_hermite_fn, integration_weights
+from catgate.numerics import (
+    _BLOCK_VALUES,
+    Grid1D,
+    _poisson_weights,
+    eval_hermite_fn,
+    integration_weights,
+)
 from catgate.states import CoherentParams, assemble_cat, coherent_wavefunction, fock_wavefunction
 from catgate.wigner import (
     WignerGrid,
@@ -168,6 +174,39 @@ def test_rates_past_the_double_range_give_zero_weights():
     near = wigner_mehler(params, inp, axis, axis).values
     np.testing.assert_array_equal(far[:, [0, 2]], 0.0)
     np.testing.assert_array_equal(far[:, 1], near[:, 1])
+
+
+def test_blocked_factors_and_exponents_are_the_whole_rows_bit_for_bit():
+    # c_k and the Poisson exponents are made _BLOCK_VALUES of k at a time, each
+    # block of c_k carrying the product before it: the same numbers as one
+    # cumprod and one exponent row over all k, here across three block edges
+    n = 3 * _BLOCK_VALUES + 5
+    k = np.arange(1.0, n + 1.0)
+    whole = np.cumprod(np.concatenate(([1.0], (2.0 * k - 1.0) / (2.0 * k))))
+    assert _central_binomials(n).tobytes() == whole.tobytes()
+    t = np.array([0.0, 0.7, 250.0])
+    lam = 0.5 * t * t
+    log_lam = np.log(lam, out=np.full(3, -np.inf), where=lam > 0.0)
+    expo = np.zeros((3, n + 1))
+    expo[:, :n] = log_lam[:, None] * np.arange(float(n), 0.0, -1.0)
+    expo -= lam[:, None] + np.array([math.lgamma(j + 1.0) for j in range(n, -1, -1)])
+    assert _poisson_weights(t, n).tobytes() == np.exp(expo).tobytes()
+
+
+def test_outcome_norm_holds_two_rows_and_a_block():
+    # the Poisson row, weighted in place by the row of c_k, and one block of
+    # _BLOCK_VALUES values at a time besides: 32.5 MB traced at n = 2e6, where
+    # whole-row factors and exponents took four rows, 64 MB (the cached row of
+    # log factorials, 16 MB, is built first)
+    n = 2_000_000
+    expected = outcome_norm(n, 0.0)
+    tracemalloc.start()
+    try:
+        assert outcome_norm(n, 0.0) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (2 * (n + 1) + _BLOCK_VALUES) + 64e3
 
 
 def _density_threshold(n: int) -> tuple[float, float]:
