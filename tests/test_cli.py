@@ -635,7 +635,8 @@ def _poison_tile(monkeypatch, index: int) -> None:
 
 def _assert_tiles_refused_as_the_handler(argv, fmt, capsys, monkeypatch) -> None:
     """The first tile of the map `argv` prints in `fmt`, made by the handler,
-    is refused before the header; the second while the rows print, after
+    is refused with exit 3, a numerics refusal, before the header; the
+    second while the rows print, after
     the 4 blocks of 64 rows that lie in the first tile's 7 x 37 rows."""
     argv = argv + ["--format", fmt]
     monkeypatch.setattr(catgate.wigner, "_CHUNK_VALUES", 7 * 37)
@@ -645,9 +646,10 @@ def _assert_tiles_refused_as_the_handler(argv, fmt, capsys, monkeypatch) -> None
     outputs = []
     for index in (0, 1):
         _poison_tile(monkeypatch, index)
-        assert main(argv) == 2
+        assert main(argv) == 3
         captured = capsys.readouterr()
-        assert captured.err == "invalid configuration: Wigner values must be finite\n"
+        rows = f"{7 * index} to {7 * index + 6}"
+        assert captured.err == f"Wigner map at n=6 went non-finite in x rows {rows}\n"
         outputs.append(captured.out)
     assert outputs[0] == ""
     assert whole.startswith(outputs[1])

@@ -619,10 +619,11 @@ def _map(n: int, y_m: float, x0: float, refine: int = 1, p_reach: float | None =
     return params, inp, wigner_mehler(params, inp, _refined(xa, refine), _refined(pa, refine))
 
 
-@pytest.mark.parametrize("n, bound", [(5, 3e-13), (300, 1e-13), (3000, 2e-12)])
+@pytest.mark.parametrize("n, bound", [(5, 3e-13), (300, 1e-13), (3000, 2e-12), (10000, 2e-11)])
 def test_mehler_map_is_pure(n, bound):
-    # 2 pi int int W^2 dx dp = 1 on the default axes: -1.1e-13, 2.8e-14 and
-    # 6.8e-13 measured, where the Simpson mass is off by 1e-8 to 1.4e-7
+    # 2 pi int int W^2 dx dp = 1 on the default axes: -1.1e-13, 2.8e-14,
+    # 6.8e-13 and 7.6e-12 measured, where the Simpson mass is off by 1e-8 to
+    # 1.4e-7
     _, _, w = _map(n, 0.0, 0.0)
     wx, wp = integration_weights(w.x_axis), integration_weights(w.p_axis)
     assert abs(2.0 * np.pi * wx @ (w.values * w.values) @ wp - 1.0) <= bound
@@ -631,12 +632,12 @@ def test_mehler_map_is_pure(n, bound):
 @pytest.mark.parametrize(
     "n, y_m, x0, bound",
     [(5, 0.0, 0.0, 5e-15), (300, 0.0, 0.0, 3e-13), (300, 3.0, 1.0, 5e-13),
-     (3000, 0.0, 0.0, 1e-11)],
+     (3000, 0.0, 0.0, 1e-11), (10000, 0.0, 0.0, 5e-11)],
 )
 def test_mehler_p_marginal_is_the_output_density(n, y_m, x0, bound):
     # int W dp = |psi~(x)|^2 / P = pi^{-1/2} e^{-(x-x0)^2} h_n(x-y_m)^2 sqrt(2 pi)/M_n
     # row by row, on a p axis widened to +/-(sqrt(2n+1) + 12): 1.5e-15,
-    # 1.0e-13, 1.5e-13 and 3.0e-12 of its peak measured
+    # 1.0e-13, 1.5e-13, 3.0e-12 and 1.8e-11 of its peak measured
     params, _, w = _map(n, y_m, x0, p_reach=12.0)
     x = w.x_axis.xs
     density = (np.exp(-((x - x0) ** 2)) * eval_hermite_fn(n, x - y_m) ** 2
@@ -680,3 +681,73 @@ def test_mehler_cells_match_exact_arithmetic(n, y_m, x0, rtol):
     for cell in ((i, j), (i, j + 3), (i, pa.count - 1)):
         exact = float(wigner_cell_exact(n, y_m, x0, 0.0, xa.xs[cell[0]], pa.xs[cell[1]]))
         assert abs(w[cell] - exact) <= min(1e-14 * peak, rtol * abs(exact)), cell
+
+
+# wigner_mehler contracts each chunk of orders only with the p columns whose
+# Poisson band it meets; the band's floor at 0 (_BAND_BITS = inf) gives the
+# contraction over every weight.
+
+
+def _banded_and_whole(n, y_m, x0, p0, axes, monkeypatch):
+    """The map with its band and with every weight, and wigner_mehler's
+    bound on each x row of their difference."""
+    params, inp = GateParams(n, y_m), CoherentParams(x0, p0)
+    xa, pa = axes or default_axes(params, inp)
+    banded = wigner_mehler(params, inp, xa, pa).values
+    monkeypatch.setattr(catgate.wigner, "_BAND_BITS", math.inf)
+    bound = (n + 1) * 2.0**-60 * np.exp(-((xa.xs - x0) ** 2)) / (np.pi * outcome_norm(n, y_m - x0))
+    return banded, wigner_mehler(params, inp, xa, pa).values, bound[:, None]
+
+
+@pytest.mark.parametrize(
+    "n, y_m, x0, p0, axes",
+    [(10, 0.0, 0.0, 0.0, None), (300, 0.0, 0.0, 0.0, None), (600, 0.0, 0.0, 0.0, None),
+     (3000, 0.0, 0.0, 0.0, None),
+     (300, 0.0, 0.0, 0.0, (Grid1D(-6.0, 6.0, 401), Grid1D(-29.0, 29.0, 401))),
+     (300, 5.0, 0.0, 1.5, None)],
+)
+def test_banded_map_is_within_its_bound_of_every_weight(n, y_m, x0, p0, axes, monkeypatch):
+    # each weight left out is below 2^-60 of its column's largest, so a cell
+    # is within (n + 1) 2^-60 e^{-(x-x0)^2}/(pi M_n) of the sum over all
+    # weights: 8.0e-15 of the peak at n = 300 and 2.5e-13 at 3000, where the
+    # cells move by at most 7.0e-21 and 1.7e-18 of it (1e-6 and 1.4e-5 of the
+    # bound); a floor of 2^-20 takes them 7.5e5 to 5.3e6 times past it
+    banded, whole, bound = _banded_and_whole(n, y_m, x0, p0, axes, monkeypatch)
+    assert np.all(np.abs(banded - whole) <= bound)
+
+
+def test_chunks_that_meet_no_column_still_raise_the_exponents(monkeypatch):
+    # one order a chunk at n = 600 and y_m = 28 on |p~| <= 1: the x exponents
+    # rise chunk by chunk, and no column's band meets a chunk before k = 585,
+    # where the tile is first made
+    monkeypatch.setattr(catgate.wigner, "_CHUNK_VALUES", 66)
+    axes = (Grid1D(-6.0, 6.0, 41), Grid1D(-1.0, 1.0, 25))
+    banded, whole, bound = _banded_and_whole(600, 28.0, 0.0, 0.0, axes, monkeypatch)
+    assert np.all(np.abs(banded - whole) <= bound)
+
+
+def test_map_whose_orders_fit_one_chunk_is_the_product_over_every_weight(monkeypatch):
+    # 11 orders of 601 + 601 points fit one chunk of 54: each of the six tiles
+    # is one product over every column, bit for bit
+    axes = (Grid1D(-6.0, 6.0, 601), Grid1D(-9.0, 9.0, 601))
+    banded, whole, _ = _banded_and_whole(10, 0.0, 0.0, 0.0, axes, monkeypatch)
+    assert banded.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("n, share", [(10, 1.0), (3000, 0.2)])
+def test_banded_map_forms_a_share_of_the_poisson_weights(n, share, monkeypatch):
+    # (n + 1) np weights on default axes, all 2211 of them at n = 10 (one
+    # chunk), and 445 779 of 2 667 889 at n = 3000 (17%)
+    params, inp = GateParams(n, 0.0), CoherentParams(0.0, 0.0)
+    xa, pa = default_axes(params, inp)
+    weights, formed = catgate.wigner._poisson_weights, []
+
+    def counted(t, *args):
+        made = weights(t, *args)
+        formed.append(made.size)
+        return made
+
+    monkeypatch.setattr(catgate.wigner, "_poisson_weights", counted)
+    wigner_mehler(params, inp, xa, pa)
+    assert sum(formed) <= share * (n + 1) * pa.count
+    assert n > 10 or sum(formed) == (n + 1) * pa.count
