@@ -2,14 +2,18 @@
 
 Every command writes one table: a header of glossary symbols and one
 record per scan point, all floats serialized with 17 significant digits,
-in blocks of rows, one block held at a time. A column of the handler's
-data is plain, its numbers, or factored, its distinct values and each
-row's index into them, whose values are formatted once per table. The
-index of a scan axis or of a constant column and every column of scl-map
-are made a block at a time, and a Wigner map a tile of x rows at a time,
-so only `wigner --engine both`'s oracle map is as long as the table.
-Identical invocations produce byte-identical files; timing metadata is
-opt-in for that reason. Exit status is 0 on success, 1 when the reader of
+in blocks of rows, one block held at a time. Each handler returns the
+column names, each column's distinct values (None for a plain column),
+and its blocks, which it makes one at a time as the renderer asks: for
+each run of at most _BLOCK_ROWS rows, one array per column, a plain
+column's numbers or a factored column's indices into its values, whose
+values are formatted once per table. A scan makes its indices a block at
+a time, scl-map its samples' and then each branch's rows, and a Wigner
+map its blocks a tile of x rows at a time, each block inside one tile, so
+only `wigner --engine both`'s oracle map is as long as the table. The
+same argv with the same NumPy build and BLAS thread count produces
+byte-identical files; timing metadata is opt-in for that reason.
+Exit status is 0 on success, 1 when the reader of
 stdout closes the pipe early, 2 for an invalid configuration or an --out
 file that cannot be opened, 3 when the numerics refuse the requested
 point, also for a map tile made as the rows are written, after the rows
@@ -97,28 +101,16 @@ def _axis_spec(text: str) -> Grid1D:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-@dataclass(frozen=True)
-class _Strided:
-    """A factored column's index that is never materialised: row r of its
-    `size` rows reads value (r // stride) % count. A slice of it is made
-    when it is read, so that a block costs only its own rows."""
-
-    size: int
-    stride: int = 1
-    count: int = 1
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return np.arange(*rows.indices(self.size)) // self.stride % self.count
+def _spans(count: int):
+    """range(count) as slices of at most _BLOCK_ROWS rows."""
+    return (slice(a, min(a + _BLOCK_ROWS, count)) for a in range(0, count, _BLOCK_ROWS))
 
 
-def _product(outer, inner) -> tuple[tuple, tuple]:
-    """Columns of every (outer, inner) pair, inner varying fastest, both
-    factored: each is its values and a _Strided index into them, so that
-    neither the column nor its index is as long as the table. values[index[:]]
-    gives a column's rows."""
-    outer, inner = np.asarray(outer), np.asarray(inner)
-    rows = outer.size * inner.size
-    return (outer, _Strided(rows, inner.size, outer.size)), (inner, _Strided(rows, 1, inner.size))
+def _product_blocks(count: int, inner: int):
+    """The `count` rows of every (outer, inner) pair, inner varying fastest,
+    a block at a time: the block's slice, then its outer and inner indices."""
+    for rows in _spans(count):
+        yield rows, *np.divmod(np.arange(rows.start, rows.stop), inner)
 
 
 def _run_fidelity_scan(p: dict, column: str):
@@ -127,73 +119,71 @@ def _run_fidelity_scan(p: dict, column: str):
     from .metrics import fidelity_cat_scan, fidelity_scl_scan
 
     scan = fidelity_cat_scan if column == "F_cat" else fidelity_scl_scan
-    x0, n = _product(p["x0"], p["n"])
-    y_m = x0 if p.get("ym_equals_x0") else (np.array([p["y_m"]]), _Strided(x0[1].size))
-    rows = zip(*(values[index[:]].tolist() for values, index in (n, y_m, x0)))
-    f = [scan(k, y, x, p["p0"]) for k, y, x in rows]
-    data = [n, y_m, x0, (np.array([p["p0"]]), _Strided(x0[1].size)), np.array(f)]
-    return ["n", "y_m", "x0", "p0", column], data, {}
-
-
-class _Tiles:
-    """A plain column read from a map's tiles, arrays of its x rows in turn,
-    the first made with the column: slices, which must follow one another
-    as _row_blocks reads them, make each next tile once the held one ends."""
-
-    def __init__(self, tiles, size: int):
-        self.size, self._tiles, self._cells = size, tiles, next(tiles).ravel()
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        cells, count = [], rows.stop - rows.start
-        while count > self._cells.size:
-            cells.append(self._cells.copy())
-            count -= self._cells.size
-            del self._cells  # let go of this tile before the next one is made
-            self._cells = next(self._tiles).ravel()
-        cells.append(self._cells[:count])
-        self._cells = self._cells[count:]
-        return np.concatenate(cells)
-
-
-def _checked(tiles, oracle: np.ndarray, metadata: dict):
-    """Each tile once its cells' |W - oracle| is in max_abs_difference."""
-    for tile in tiles:
-        cells, rows, oracle = tile.ravel(), oracle[: tile.size], oracle[tile.size :]
-        for i in range(0, cells.size, _BLOCK_ROWS):
-            gap = float(np.abs(cells[i : i + _BLOCK_ROWS] - rows[i : i + _BLOCK_ROWS]).max())
-            metadata["max_abs_difference"] = max(metadata["max_abs_difference"], gap)
-        yield tile
-        del tile, cells  # before the next tile is made
+    same = p.get("ym_equals_x0")
+    f = np.array([scan(k, x if same else p["y_m"], x, p["p0"]) for x in p["x0"] for k in p["n"]])
+    x0, y_m = np.array(p["x0"]), np.array([p["y_m"]])
+    values = [np.array(p["n"]), x0 if same else y_m, x0, np.array([p["p0"]]), None]
+    blocks = ([k, x if same else 0, x, 0, f[rows]]
+              for rows, x, k in _product_blocks(f.size, len(p["n"])))
+    return ["n", "y_m", "x0", "p0", column], values, blocks, {}
 
 
 def _run_wigner(p: dict):
     from .gate import GateParams, perfect_cat
     from .states import CoherentParams
-    from .wigner import _cat_values, _mehler_tiles, default_axes, wigner_output_quadrature
+    from .wigner import _cat_cells, _mehler_tiles, default_axes, wigner_output_quadrature
 
-    params = GateParams(p["n"], p["y_m"])
-    inp = CoherentParams(p["x0"], p["p0"])
+    params, inp = GateParams(p["n"], p["y_m"]), CoherentParams(p["x0"], p["p0"])
     x_axis, p_axis = p["x_axis"], p["p_axis"]
     if x_axis is None or p_axis is None:
         x_default, p_default = default_axes(params, inp)
         x_axis, p_axis = x_axis or x_default, p_axis or p_default
 
     metadata: dict = {"engine": p["engine"]}
-    tiles, columns, data = _mehler_tiles(params, inp, x_axis, p_axis), ["x", "p", "W"], []
+    names, tiles = ["x", "p", "W"], _mehler_tiles(params, inp, x_axis, p_axis)
+    oracle = cat = None
     if p["engine"] == "both":
         # the oracle first and whole, so that its kernel never meets a chunk
         oracle = wigner_output_quadrature(params, inp, x_axis, p_axis).values.ravel()
         metadata["max_abs_difference"] = 0.0
-        tiles, data = _checked(tiles, oracle, metadata), [oracle]
-        columns[2:] = ["W_mehler", "W_quadrature"]
-    # the first tile is made here, so that a refusal comes before the header
-    data.insert(0, _Tiles(tiles, x_axis.count * p_axis.count))
+        names[2:] = ["W_mehler", "W_quadrature"]
     if p["with_cat"]:
-        columns.append("W_cat")  # in tiles of a block's cells or more
-        cat, xs, rows = perfect_cat(params, inp), x_axis.xs, _BLOCK_ROWS // p_axis.count + 1
-        tiles = (_cat_values(cat, xs[a : a + rows], p_axis.xs) for a in range(0, xs.size, rows))
-        data.append(_Tiles(tiles, x_axis.count * p_axis.count))
-    return columns, [*_product(x_axis.xs, p_axis.xs), *data], metadata
+        names.append("W_cat")
+        cat = _cat_cells(perfect_cat(params, inp), x_axis.xs, p_axis.xs)
+    # the first tile is made here, so that a refusal comes before the header
+    blocks = _map_blocks(next(tiles), tiles, p_axis.count, oracle, cat, metadata)
+    return names, [x_axis.xs, p_axis.xs] + [None] * (len(names) - 2), blocks, metadata
+
+
+def _map_blocks(tile, tiles, count: int, oracle, cat, metadata: dict):
+    """A Wigner map's blocks, each inside one tile: `tile`'s, then each of
+    `tiles`' in turn, made once the one before it is let go."""
+    start = 0
+    while tile is not None:
+        cells = tile.ravel()
+        del tile
+        for rows in _spans(cells.size):
+            # made by a call, so that this frame holds none of it while it prints
+            yield _map_block(cells[rows], start + rows.start, count, oracle, cat, metadata)
+        start += cells.size
+        del cells  # before the next tile is made
+        tile = next(tiles, None)
+
+
+def _map_block(w: np.ndarray, start: int, count: int, oracle, cat, metadata: dict) -> list:
+    """The block of a map's rows from `start` on whose W is w, p varying
+    fastest over `count` values: beside W, the rows of the oracle's flat map,
+    checked against W into max_abs_difference, and cat(i, j), W_cat's cells,
+    if given."""
+    i, j = np.divmod(np.arange(start, start + w.size), count)
+    block = [i, j, w]
+    if oracle is not None:
+        block.append(oracle[start : start + w.size])
+        gap = float(np.abs(w - block[3]).max())
+        metadata["max_abs_difference"] = max(metadata["max_abs_difference"], gap)
+    if cat is not None:
+        block.append(cat(i, j))
+    return block
 
 
 def _run_prob_density(p: dict):
@@ -203,21 +193,22 @@ def _run_prob_density(p: dict):
         ys = np.array([p["y_m"]], dtype=float)
     else:
         ys = (p["y_axis"] or Grid1D(p["x0"] - 5.0, p["x0"] + 5.0, 201)).xs
-    n, y_m = _product(p["n"], ys)
     dens = np.concatenate([outcome_density(k, p["x0"], ys) for k in p["n"]])
-    return ["n", "y_m", "x0", "P"], [n, y_m, (np.array([p["x0"]]), _Strided(dens.size)), dens], {}
+    blocks = ([k, y, 0, dens[rows]] for rows, k, y in _product_blocks(dens.size, ys.size))
+    return ["n", "y_m", "x0", "P"], [np.array(p["n"]), ys, np.array([p["x0"]]), None], blocks, {}
 
 
 def _run_mixed_fidelity(p: dict):
     from .metrics import mixed_fidelity, window_probability
 
-    n, d = _product(p["n"], p["d"])
-    points = list(zip(n[0][n[1][:]].tolist(), d[0][d[1][:]].tolist()))
+    points = [(k, w) for k in p["n"] for w in p["d"]]
     # P first: it checks every width before any F_mix can fail on one
-    prob = [window_probability(k, p["x0"], w) for k, w in points]
-    f_mix = [mixed_fidelity(k, p["x0"], w) for k, w in points]
-    data = [n, (np.array([p["x0"]]), _Strided(len(points))), d, np.array(f_mix), np.array(prob)]
-    return ["n", "x0", "d", "F_mix", "P"], data, {}
+    prob = np.array([window_probability(k, p["x0"], w) for k, w in points])
+    f_mix = np.array([mixed_fidelity(k, p["x0"], w) for k, w in points])
+    values = [np.array(p["n"]), np.array([p["x0"]]), np.array(p["d"]), None, None]
+    blocks = ([k, 0, d, f_mix[rows], prob[rows]]
+              for rows, k, d in _product_blocks(len(points), len(p["d"])))
+    return ["n", "x0", "d", "F_mix", "P"], values, blocks, {}
 
 
 def _run_scl_map(p: dict):
@@ -225,11 +216,21 @@ def _run_scl_map(p: dict):
     from .phase_map import map_disk
 
     disk = map_disk(GateParams(p["n"], p["y_m"]), (p["x0"], p["p0"]), p["radius"], p["samples"])
-    branch, *plain = disk.columns()
     metadata = {"dropped": disk.dropped, "upper_count": disk.preimage[0].size,
                 "lower_count": disk.preimage[1].size}
-    # the disk computes each column a block at a time
-    return ["branch", "q", "p"], [(["source", "upper", "lower"], branch), *plain], metadata
+    labels = ["source", "upper", "lower"]
+    return ["branch", "q", "p"], [labels, None, None], _disk_blocks(disk), metadata
+
+
+def _disk_blocks(disk):
+    """scl-map's rows: every sample, then upper's images, then lower's, each
+    image with its preimage's q, the momenta computed a block at a time."""
+    q, p = disk.source
+    for rows in _spans(q.size):
+        yield [0, q[rows], p[rows]]
+    for branch, preimage in enumerate(disk.preimage):
+        for rows in _spans(preimage.size):
+            yield [branch + 1, q[preimage[rows]], disk.momenta(branch, rows)]
 
 
 _HANDLERS = {
@@ -407,66 +408,58 @@ def _factored_text(values, quote) -> np.ndarray:
     if isinstance(values, list):
         return np.array([quote(s).encode() for s in values], dtype=bytes)
     cells = np.empty(values.size, dtype=f"S{_NUMBER_WIDTH}")
-    for start in range(0, values.size, _BLOCK_ROWS):
-        cells[start : start + _BLOCK_ROWS] = _g17_cells(values[start : start + _BLOCK_ROWS])
+    for rows in _spans(values.size):
+        cells[rows] = _g17_cells(values[rows])
     return cells
 
 
-def _row_blocks(data: list, quote, lead: bytes, end: bytes):
-    """The rows as text, _BLOCK_ROWS at a time: each row is `lead`, its
-    cells joined by commas, then `end`.
+def _row_blocks(values: list, blocks, quote, lead: bytes, end: bytes):
+    """The rows as text, a block at a time: each row is `lead`, its cells
+    joined by commas, then `end`.
 
-    A column is plain, its numbers, or factored, a pair of its values and
-    each row's index into them. A plain column, or an index, is anything
-    with a size, its row count, whose slice start:stop is an array of those
-    rows' numbers or indices: an array, or an object that makes each
-    block's slice when it is read, as a _Strided index, _Tiles and the
-    columns of a phase_map.DiskImage do. A factored column's values are
-    formatted once by _factored_text, and each block gathers its cells
-    from them; a plain column's cells are made per block by _g17_cells.
-    The text is %.17g's byte for byte, from digits computed exactly enough
-    to decide their rounding, with b"%.17g" % v for the values where they
-    cannot (see _decimal_digits).
+    values[i] is column i's distinct values, numbers or labels, or None for
+    a plain column. Each of `blocks` is one array per column for a run of
+    rows: a plain column's numbers, or a factored column's indices into its
+    values, a plain int where the index is the same in every row of the
+    block. A factored column's values are formatted once by _factored_text,
+    and each block gathers its cells from them; a plain column's cells are
+    made per block by _g17_cells. The text is %.17g's byte for byte, from
+    digits computed exactly enough to decide their rounding, with
+    b"%.17g" % v for the values where they cannot (see _decimal_digits).
 
     A block is a bytearray, written through a uint8 matrix view with one
     fixed-width slot per cell. It is allocated once the block's plain cells
     are made, and the factored cells are gathered into it one column at a
     time, so that neither it nor a gathered column coexists with the
     formatter's temporaries. Dropping the NULs of the slots, a number's
-    empty places and a label's padding, leaves the row text; the cells go
-    before it is made, the block before the next one is formatted.
+    empty places and a label's padding, leaves the row text; the block's
+    arrays and cells go before it is made, and the text before the next
+    block is asked for.
     """
-    columns = [(_factored_text(c[0], quote), c[1]) if isinstance(c, tuple) else c for c in data]
-    template = bytearray(lead)
-    slots = []
-    for i, column in enumerate(columns):
-        width = column[0].itemsize if isinstance(column, tuple) else _NUMBER_WIDTH
-        if i:
-            template += b","
-        slots.append(slice(len(template), len(template) + width))
-        template += bytes(width)
-    template += end
-    first = columns[0]
-    rows = first[1].size if isinstance(first, tuple) else first.size
-    for start in range(0, rows, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, rows)
-        plain = [None if isinstance(c, tuple) else _g17_cells(c[start:stop]) for c in columns]
-        chunk = template * (stop - start)
-        block = np.frombuffer(chunk, dtype=np.uint8).reshape(stop - start, -1)
-        for column, text, slot in zip(columns, plain, slots):
-            if text is None:
-                text = column[0][column[1][start:stop]]
-            block[:, slot] = text.view(np.uint8).reshape(stop - start, -1)
-        del plain, text, block
+    texts = [None if v is None else _factored_text(v, quote) for v in values]
+    widths = [_NUMBER_WIDTH if text is None else text.itemsize for text in texts]
+    template = bytearray(lead + b",".join(map(bytes, widths)) + end)
+    starts = np.cumsum([len(lead)] + [width + 1 for width in widths])
+    slots = [slice(start, start + width) for start, width in zip(starts, widths)]
+    for block in blocks:
+        rows = max(np.size(column) for column in block)
+        plain = [_g17_cells(c) if text is None else None for c, text in zip(block, texts)]
+        chunk = template * rows
+        matrix = np.frombuffer(chunk, dtype=np.uint8).reshape(rows, -1)
+        for column, text, cells, slot in zip(block, texts, plain, slots):
+            if text is not None:
+                cells = text[np.reshape(column, -1)]
+            matrix[:, slot] = cells.view(np.uint8).reshape(cells.size, -1)
+        del block, plain, column, cells, matrix
         chunk = chunk.translate(None, b"\0")
         chunk = chunk.decode()
         yield chunk
         del chunk
 
 
-def _render_csv(columns: list[str], data: list):
-    yield ",".join(columns) + "\n"
-    yield from _row_blocks(data, str, b"", b"\n")
+def _render_csv(names: list[str], values: list, blocks):
+    yield ",".join(names) + "\n"
+    yield from _row_blocks(values, blocks, str, b"", b"\n")
 
 
 def _json_text(value) -> str:
@@ -486,7 +479,7 @@ def _json_text(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _render_json(config: RunConfig, columns, data, metadata):
+def _render_json(config: RunConfig, names, values, blocks, metadata):
     """JSON document; rows are formatted like CSV, labels quoted by json.dumps.
 
     With timings on, render_seconds is the time from the head's yield to the
@@ -496,12 +489,12 @@ def _render_json(config: RunConfig, columns, data, metadata):
 
     echo = {"command": config.command, "parameters": config.parameters, "format": config.format,
             "out": config.output_path}
-    yield '{"config":' + _json_text(echo) + ',"columns":' + _json_text(columns) + ',"rows":['
+    yield '{"config":' + _json_text(echo) + ',"columns":' + _json_text(names) + ',"rows":['
     started = time.perf_counter()
     # every row is led by a comma, which the first one drops
-    blocks = _row_blocks(data, json.dumps, b",[", b"]")
-    yield next(blocks, ",")[1:]
-    yield from blocks
+    rows = _row_blocks(values, blocks, json.dumps, b",[", b"]")
+    yield next(rows, ",")[1:]
+    yield from rows
     if config.timings:
         metadata["timings"]["render_seconds"] = time.perf_counter() - started
     yield '],"metadata":' + _json_text(metadata) + "}\n"
@@ -513,11 +506,11 @@ def run(config: RunConfig) -> int:
         if config.timings and config.format != "json":
             raise ValueError("--timings needs --format json")
         started = time.perf_counter()
-        columns, data, metadata = _HANDLERS[config.command](config.parameters)
+        names, values, blocks, metadata = _HANDLERS[config.command](config.parameters)
         if config.timings:
             metadata["timings"] = {"compute_seconds": time.perf_counter() - started}
-        chunks = (_render_csv(columns, data) if config.format == "csv"
-                  else _render_json(config, columns, data, metadata))
+        chunks = (_render_csv(names, values, blocks) if config.format == "csv"
+                  else _render_json(config, names, values, blocks, metadata))
         try:
             destination = (contextlib.nullcontext(sys.stdout) if config.output_path is None
                            else open(config.output_path, "w", encoding="utf-8", newline="\n"))

@@ -39,13 +39,7 @@ class DiskImage:
     goes to upper. The gate keeps q, so upper's q is source[0][preimage[0]]
     and lower's source[0][preimage[1]]. dropped counts samples with no
     image. The image momenta are not stored: momenta() computes them from
-    their preimages through map_point.
-
-    The image is also a table of `size` rows: every sample, then upper's
-    images, then lower's. column(name, block) computes only the rows
-    `block` of its column "branch" (0 for a sample, 1 upper, 2 lower), "q"
-    or "p", and columns() gives the three as objects with a size whose
-    slice start:stop is those rows.
+    their preimages through map_point, a slice of a branch at a time.
     """
 
     params: GateParams
@@ -59,50 +53,6 @@ class DiskImage:
         pre = self.preimage[branch][images]
         _, p_lower, p_upper = map_point(self.params, q[pre], p[pre])
         return (p_upper, p_lower)[branch]
-
-    @property
-    def size(self) -> int:
-        return self.source[0].size + self.preimage[0].size + self.preimage[1].size
-
-    def column(self, name: str, block: slice) -> np.ndarray:
-        """Rows `block` of the table's column `name`, "branch", "q" or "p"."""
-        start, stop, _ = block.indices(self.size)
-        out = np.empty(max(stop - start, 0), dtype=np.uint8 if name == "branch" else float)
-        offset = 0
-        for branch, count in enumerate((self.source[0].size, *(r.size for r in self.preimage))):
-            lo, hi = max(start, offset), min(stop, offset + count)
-            if lo < hi:
-                rows, at = slice(lo - offset, hi - offset), slice(lo - start, hi - start)
-                if name == "branch":
-                    out[at] = branch
-                elif branch == 0:  # a sample's row copies it
-                    out[at] = self.source[name == "p"][rows]
-                elif name == "q":  # the gate keeps q
-                    out[at] = self.source[0][self.preimage[branch - 1][rows]]
-                else:
-                    out[at] = self.momenta(branch - 1, rows)
-            offset += count
-        return out
-
-    def columns(self) -> tuple[_Column, _Column, _Column]:
-        """The table's columns branch, q and p, each computed a slice at a time."""
-        return tuple(_Column(self, name) for name in ("branch", "q", "p"))
-
-
-@dataclass(frozen=True)
-class _Column:
-    """One column of a DiskImage's table: `size` rows, and [start:stop]
-    computes only those rows."""
-
-    image: DiskImage
-    name: str
-
-    @property
-    def size(self) -> int:
-        return self.image.size
-
-    def __getitem__(self, block: slice) -> np.ndarray:
-        return self.image.column(self.name, block)
 
 
 def _bands(params: GateParams, q: np.ndarray):
@@ -165,9 +115,9 @@ def map_disk(
 
     The image holds the lattice, 16 bytes a sample, and its images'
     preimage rows, in the smallest unsigned integer type that holds the
-    sample count. Printing it as a table computes every column a block at
-    a time, so a `catgate scl-map` process at the 5,000,000-sample budget
-    peaks at about 211 MB.
+    sample count. `catgate scl-map` prints it a block of rows at a time,
+    the momenta computed with their block, so at the 5,000,000-sample
+    budget the process peaks at about 211 MB.
     """
     if not (np.all(np.isfinite(center)) and np.isfinite(radius)):
         raise ValueError("disk center and radius must be finite")

@@ -407,17 +407,20 @@ def wigner_cat_reference(cat: CatSuperposition, x_axis: Grid1D, p_axis: Grid1D) 
     offsets, so far from the origin the map keeps the origin's digits, and
     nothing overflows however far apart the components are.
     """
-    return WignerGrid(x_axis, p_axis, _cat_values(cat, x_axis.xs, p_axis.xs))
+    i, j = np.ogrid[: x_axis.count, : p_axis.count]
+    return WignerGrid(x_axis, p_axis, _cat_cells(cat, x_axis.xs, p_axis.xs)(i, j))
 
 
-def _cat_values(cat: CatSuperposition, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """wigner_cat_reference's (x.size, p.size) values, cell by cell the same
-    for any x rows and p columns."""
-    x_t = (x - cat.x0)[:, None]
-    p_t = p - cat.p0
-    # the one (nx, np) array, built in place from an x column and p rows
-    values = 2.0 * cat.parity_sign * np.exp(-p_t * p_t) * np.cos(2.0 * (cat.theta + cat.r * x_t))
-    values += np.exp(-((p_t - cat.r) ** 2)) + np.exp(-((p_t + cat.r) ** 2))
-    values *= np.exp(-x_t * x_t)
-    values /= np.pi * cat.norm_factor
-    return values
+def _cat_cells(cat: CatSuperposition, x: np.ndarray, p: np.ndarray):
+    """cells(i, j), the values (x[i], p[j]) of wigner_cat_reference's map for
+    index arrays i and j, each the same for any i and j: (f[j] g[i] + h[j])
+    e[i] / (pi N), its factors made once per axis."""
+    x_t, p_t = x - cat.x0, p - cat.p0
+    f = 2.0 * cat.parity_sign * np.exp(-p_t * p_t)
+    h = np.exp(-((p_t - cat.r) ** 2)) + np.exp(-((p_t + cat.r) ** 2))
+    g, e = np.cos(2.0 * (cat.theta + cat.r * x_t)), np.exp(-x_t * x_t)
+
+    def cells(i, j) -> np.ndarray:
+        return (f[j] * g[i] + h[j]) * e[i] / (np.pi * cat.norm_factor)
+
+    return cells

@@ -636,8 +636,8 @@ def _poison_tile(monkeypatch, index: int) -> None:
 def _assert_tiles_refused_as_the_handler(argv, fmt, capsys, monkeypatch) -> None:
     """The first tile of the map `argv` prints in `fmt`, made by the handler,
     is refused with exit 3, a numerics refusal, before the header; the
-    second while the rows print, after
-    the 4 blocks of 64 rows that lie in the first tile's 7 x 37 rows."""
+    second while the rows print, after all 7 x 37 rows of the first tile,
+    whose blocks of 64 rows end at the tile's end."""
     argv = argv + ["--format", fmt]
     monkeypatch.setattr(catgate.wigner, "_CHUNK_VALUES", 7 * 37)
     monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", 64)
@@ -653,9 +653,9 @@ def _assert_tiles_refused_as_the_handler(argv, fmt, capsys, monkeypatch) -> None
         outputs.append(captured.out)
     assert outputs[0] == ""
     assert whole.startswith(outputs[1])
-    # 256 rows: CSV's header and each row end in a newline, and each JSON row
+    # 259 rows: CSV's header and each row end in a newline, and each JSON row
     # but the first opens with ",["
-    assert outputs[1].count("\n" if fmt == "csv" else ",[") == (257 if fmt == "csv" else 255)
+    assert outputs[1].count("\n" if fmt == "csv" else ",[") == (260 if fmt == "csv" else 258)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -737,29 +737,44 @@ class _SpyWriter:
         pass
 
 
+# argv, the rows per block, and the table's rows: the handlers make their own
+# blocks, which end at a map's tile ends (tiles of 7 x 37 rows here) and at a
+# disk's branch ends (5214 rows: 2000 samples, 1607 upper and 1607 lower)
+_STREAMED = [
+    (["prob-density", "--n", "0,3,20", "--x0", "0.5", "--x-range=-2:3:11"], 7, 33),
+    (["wigner", "--n", "6", "--x0", "0.5", "--ym", "0.2", "--x-range=-3:4:41",
+      "--p-range=-4:4:37", "--engine=both", "--with-cat"], 64, 41 * 37),
+    (["scl-map", "--n", "4", "--ym", "0.0", "--x0", "2.5", "--p0", "0.5", "--samples", "2000"],
+     512, 5214),
+]
+
+
 def test_csv_streams_one_block_per_write(monkeypatch):
-    monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", 7)
-    spy = _SpyWriter()
-    monkeypatch.setattr("sys.stdout", spy)
-    assert main(["prob-density", "--n", "0,3,20", "--x0", "0.5", "--x-range=-2:3:11"]) == 0
-    row_counts = [text.count("\n") for text in spy.writes]
-    assert row_counts[0] == 1  # the header line
-    assert sum(row_counts) == 1 + 33
-    assert len(row_counts) > 2 and max(row_counts[1:]) <= 7
+    monkeypatch.setattr(catgate.wigner, "_CHUNK_VALUES", 7 * 37)
+    for argv, block, rows in _STREAMED:
+        monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", block)
+        spy = _SpyWriter()
+        monkeypatch.setattr("sys.stdout", spy)
+        assert main(argv) == 0
+        row_counts = [text.count("\n") for text in spy.writes]
+        assert row_counts[0] == 1  # the header line
+        assert sum(row_counts) == 1 + rows
+        assert len(row_counts) > 2 and max(row_counts[1:]) <= block
 
 
 def test_json_streams_one_block_per_write(monkeypatch):
-    monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", 7)
-    spy = _SpyWriter()
-    monkeypatch.setattr("sys.stdout", spy)
-    assert main(["prob-density", "--n", "0,3,20", "--x0", "0.5", "--x-range=-2:3:11",
-                 "--format", "json"]) == 0
-    head, *blocks, tail = spy.writes
-    assert head.endswith('"rows":[') and tail.startswith('],"metadata":')
-    # every row opens one bracket, and no number or label holds one
-    row_counts = [text.count("[") for text in blocks]
-    assert sum(row_counts) == len(json.loads("".join(spy.writes))["rows"]) == 33
-    assert len(blocks) > 1 and max(row_counts) <= 7
+    monkeypatch.setattr(catgate.wigner, "_CHUNK_VALUES", 7 * 37)
+    for argv, block, rows in _STREAMED:
+        monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", block)
+        spy = _SpyWriter()
+        monkeypatch.setattr("sys.stdout", spy)
+        assert main(argv + ["--format", "json"]) == 0
+        head, *blocks, tail = spy.writes
+        assert head.endswith('"rows":[') and tail.startswith('],"metadata":')
+        # every row opens one bracket, and no number or label holds one
+        row_counts = [text.count("[") for text in blocks]
+        assert sum(row_counts) == len(json.loads("".join(spy.writes))["rows"]) == rows
+        assert len(blocks) > 1 and max(row_counts) <= block
 
 
 def _table_peak(argv: list[str]) -> int:
@@ -795,11 +810,12 @@ def test_render_memory_of_plain_columns_is_one_block():
     rng = np.random.default_rng(3)
     peaks = []
     for count in (rows, rows, 4 * rows):  # the first run fills the formatter's caches
-        data = [rng.standard_normal(count), rng.standard_normal(count)]
+        a, b = rng.standard_normal(count), rng.standard_normal(count)
+        blocks = ([a[i : i + rows], b[i : i + rows]] for i in range(0, count, rows))
         tracemalloc.start()
         try:
             with open(os.devnull, "w") as stream:
-                for chunk in catgate.cli._render_csv(["a", "b"], data):
+                for chunk in catgate.cli._render_csv(["a", "b"], [None, None], blocks):
                     stream.write(chunk)
                     del chunk
             peaks.append(tracemalloc.get_traced_memory()[1])
@@ -831,6 +847,17 @@ def test_map_peak_does_not_grow_with_the_map():
         argv = ["wigner", "--n", "10", f"--x-range=-6:6:{count}", f"--p-range=-9:9:{count}"]
         peaks.append(_table_peak(argv))
     assert peaks[2] <= peaks[1] + 128e3
+
+
+def test_map_peak_is_one_tile_and_one_render_block():
+    # the 401^2 map at n = 10 is made in tiles of 163 x rows, each let go
+    # before the next is made, so the peak is one tile, one render block of
+    # x, p and W (0.42 MB traced at 2048 rows) and 0.1 MB: 1.00 MB traced,
+    # where a handler that kept its first tile for the whole run took 1.54 MB
+    argv = ["wigner", "--n", "10", "--x-range=-6:6:401", "--p-range=-9:9:401"]
+    _table_peak(argv)  # fills the formatter's caches
+    tile = 8 * (catgate.wigner._CHUNK_VALUES // 401) * 401
+    assert _table_peak(argv) <= tile + 0.42e6 + 0.1e6
 
 
 def test_wigner_engines_peak_is_one_map_plus_one_tile_or_the_oracle_slice_and_block():

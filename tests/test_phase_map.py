@@ -166,8 +166,8 @@ def test_map_disk_is_deterministic():
     first = map_disk(GateParams(3, 1.0), (0.5, -0.5), 1.2, 100)
     second = map_disk(GateParams(3, 1.0), (0.5, -0.5), 1.2, 100)
     assert first.dropped == second.dropped
-    for a, b in zip((first.source, first.preimage, *(c[:] for c in first.columns())),
-                    (second.source, second.preimage, *(c[:] for c in second.columns()))):
+    for a, b in zip((first.source, first.preimage, first.momenta(0), first.momenta(1)),
+                    (second.source, second.preimage, second.momenta(0), second.momenta(1))):
         np.testing.assert_array_equal(a, b)
 
 
@@ -220,40 +220,3 @@ def test_preimage_rows_give_each_image_its_q(params, center, samples):
     assert np.array_equal(p_lower[lower][2:5], disk.momenta(1, slice(2, 5)))
     # the preimage rows, in the smallest unsigned type that holds the sample count
     assert all(rows.dtype == np.min_scalar_type(q.size) for rows in disk.preimage)
-    # the table: every sample, then upper's images, then lower's, each image
-    # with its preimage's q, in blocks wherever they start and end
-    branch = np.repeat(np.arange(3), [q.size, upper.size, lower.size])
-    column = np.concatenate([q, q[upper], q[lower]])
-    assert disk.size == column.size
-    for block in (1, 7, 512, column.size + 5):
-        for start in range(0, column.size, block):
-            rows = slice(start, start + block)
-            assert np.array_equal(disk.column("branch", rows), branch[rows])
-            assert np.array_equal(disk.column("q", rows), column[rows])
-    branches, qs, ps = disk.columns()
-    assert branches.size == qs.size == ps.size == disk.size
-    assert np.array_equal(branches[:], branch) and branches[:].dtype == np.uint8
-    assert np.array_equal(qs[:], column)
-
-
-@pytest.mark.parametrize(
-    "params, center, samples",
-    [(GateParams(0, 1.0), (0.0, 5.0), 9), (GateParams(4, 0.0), (2.5, 0.5), 2000)],
-)
-def test_disk_reads_as_the_table_p_column(params, center, samples):
-    # every block of rows, wherever it starts and ends among the samples and
-    # the two branches, is that block of p, p + sqrt(D) and p - sqrt(D)
-    disk = map_disk(params, center, 1.0, samples)
-    (q, p), (upper, lower) = disk.source, disk.preimage
-    _, p_lower, p_upper = map_point(params, q, p)
-    column = np.concatenate([p, p_upper[upper], p_lower[lower]])
-    read = disk.columns()[2]
-    assert np.array_equal(read[:], column)
-    assert np.array_equal(disk.column("p", slice(3, 9)), column[3:9])
-    ends = [q.size, q.size + upper.size]
-    for block in (1, 2, 7, 512):
-        for start in range(0, column.size, block):
-            assert np.array_equal(read[start : start + block], column[start : start + block])
-    for start, stop in ((0, column.size + 5), (ends[0] - 1, ends[1] + 1), (ends[1], ends[1]),
-                        (column.size, column.size + 3)):
-        assert np.array_equal(read[start:stop], column[start:stop])
