@@ -57,11 +57,12 @@ _EDGE_TOL = 1e-12
 # z-step of the oracle, whose first Simpson alias sits far above the p band
 _ORACLE_SPACING = 0.02
 # most x-axis points, and most p-axis points, times state-grid points of
-# the oracle: its whole kernel, or all its correlation rows, 80 MB
+# the oracle: its whole kernel, or all its correlation rows, 40 MB at z > 0
 _ORACLE_BUDGET = 5_000_000
 # x rows per block of the oracle's correlation rows
 _BLOCK_ROWS = 32
-# most state-grid points times p columns per slice of the oracle's kernel (1 MB)
+# most state-grid points times p columns per slice of the oracle's kernel,
+# whose rows are the half of those points at z > 0 (0.5 MB)
 _SLICE_POINTS = 1 << 16
 # most Hermite plus Poisson values per chunk of wigner_mehler's orders, and
 # most values of a block of its partial products (512 kB)
@@ -157,12 +158,14 @@ def wigner_mehler(
     the end, so no row underflows where W does not. An outcome whose
     density M_n/sqrt(2 pi) is below 1e-300 raises ZeroProbabilityError.
 
-    The map is made T = min(nx, max(_CHUNK_VALUES // np, n + 1)) x rows at
-    a time (_mehler_tiles): T np over _TILE_VALUES raises GridCoverageError
-    before any tile exists, and a tile that is not finite raises
-    ConvergenceError. A tile takes the orders in chunks of
-    _CHUNK_VALUES // (nx + np), the weights scaled by 2^_WEIGHT_SHIFT so
-    that none is subnormal, which the FPU multiplies 100 times slower.
+    The map is made in ceil(nx / T) tiles of x rows (_mehler_tiles),
+    T = min(nx, max(_CHUNK_VALUES // np, n + 1)), cut as equal as can be,
+    each of at most ceil(nx / ceil(nx / T)) rows: a tile over _TILE_VALUES
+    values raises GridCoverageError before any tile exists, and a tile that
+    is not finite raises ConvergenceError. A tile takes the orders in
+    chunks of _CHUNK_VALUES // (nx + np), the weights scaled by
+    2^_WEIGHT_SHIFT so that none is subnormal, which the FPU multiplies 100
+    times slower.
 
     A p column's band is the one range of k where Pois(n - k; p~^2/2) is at
     least 2^-_BAND_BITS = 2^-60 of the column's largest. A chunk is
@@ -195,7 +198,9 @@ def _mehler_tiles(params: GateParams, inp: CoherentParams, x_axis: Grid1D, p_axi
     out (zeros) if given, nothing before the first is asked for."""
     n = params.n
     m_n = _conditional_norm(params, inp)
-    tile = min(x_axis.count, max(_CHUNK_VALUES // p_axis.count, n + 1))
+    most = min(x_axis.count, max(_CHUNK_VALUES // p_axis.count, n + 1))
+    # as many tiles as `most` rows a tile need, cut as equal as can be
+    tile = -(-x_axis.count // -(-x_axis.count // most))
     if tile * p_axis.count > _TILE_VALUES:
         raise GridCoverageError(
             f"Wigner map at n={n} on {x_axis.count} x {p_axis.count} points is made in tiles of "
@@ -284,18 +289,24 @@ def _peak(f, a: int, b: int) -> float:
 def wigner_quadrature(state: WaveFunctionGrid, x_axis: Grid1D, p_axis: Grid1D) -> WignerGrid:
     """Direct Wigner transform of a sampled state; works for any input (oracle).
 
-    The correlation conj(psi(x+z)) psi(x-z) is read off the state grid
-    without interpolation, so every x must be a stored sample of its own
-    (aligned_state_grid). The z range is half the state window, zeros
+    The correlation c(z) = conj(psi(x+z)) psi(x-z) is read off the state
+    grid without interpolation, so every x must be a stored sample of its
+    own (aligned_state_grid). The z range is half the state window, zeros
     beyond the grid, valid as the state must be below 1e-12 at its edges.
+    As c(-z) = conj c(z), the sum over z with even weights w is real,
+    W = (w_0 |psi(x)|^2 + 2 Re sum_{z>0} w c e^{2ipz}) / pi, and weights
+    that are not even raise GridCoverageError (an imaginary residue)
+    before any kernel is built.
 
-    The e^{2ipz} kernel is built in slices of p columns, each at most
-    _SLICE_POINTS complex values (1 MB) where the state grid allows, each
-    contracted with the correlation rows of _BLOCK_ROWS x values at a time,
-    strided views of the state. Besides the result, the memory is one
-    kernel slice plus one block: 3.2 MB in all at n = 300 on a 401 x 401
-    map. A state grid whose count times the p count exceeds _ORACLE_BUDGET
-    raises GridCoverageError before any kernel is built.
+    The e^{2ipz} kernel, z > 0 only, is built in slices of p columns, a
+    multiple of 4 wide and _SLICE_POINTS // (state-grid count) where the
+    state grid allows, so at most _SLICE_POINTS / 2 complex values (0.5 MB),
+    each contracted with the correlation rows of _BLOCK_ROWS x values at a
+    time, strided views of the state. Besides the result, the memory is one
+    kernel slice plus one block: 2.3 MB in all at n = 300 on a 401 x 401
+    map, 3.2 MB over the whole z range. A state grid whose count times the
+    p count exceeds _ORACLE_BUDGET raises GridCoverageError before any
+    kernel is built.
     """
     grid = state.grid
     h = grid.spacing
@@ -320,30 +331,36 @@ def wigner_quadrature(state: WaveFunctionGrid, x_axis: Grid1D, p_axis: Grid1D) -
             f"points, over its budget of {_ORACLE_BUDGET} for their product"
         )
     half = (grid.count - 1) // 2
+    weights = integration_weights(Grid1D(-half * h, half * h, 2 * half + 1))
+    # c(-z) = conj c(z) leaves W real only where the weights are even in z
+    if not np.array_equal(weights, weights[::-1]):
+        skew = float(np.max(np.abs(weights - weights[::-1])))
+        raise GridCoverageError(f"imaginary residue: z weights not even, off by {skew:.2e}")
     padded = np.pad(state.values, half)
     # row j is padded[i : i + 2 half + 1], centred on the state sample i of x_j
     windows = sliding_window_view(padded, 2 * half + 1)[idx[0] : idx[-1] + 1 : step]
-    z = np.arange(-half, half + 1) * h
-    weights = integration_weights(Grid1D(-half * h, half * h, 2 * half + 1))
+    # psi(x + z) and psi(x - z) for z > 0, and the z = 0 term w_0 |psi(x)|^2
+    ahead, behind = windows[:, half + 1 :], windows[:, :half][:, ::-1]
+    centre = windows[:, half]
+    centre = (centre.real**2 + centre.imag**2) * weights[half]
+    z = np.arange(1, half + 1) * h
     values = np.empty((x_axis.count, p_axis.count))
-    residue = 0.0
     # slices a multiple of 4 columns wide: OpenBLAS's complex kernels then sum
     # each column as in one product over the whole p axis, to the last bit
     for cols in _spans(p_axis.count, max(4, _SLICE_POINTS // windows.shape[1] // 4 * 4)):
         kernel = _fourier_kernel(z, p_axis.xs[cols])
         for rows in _spans(x_axis.count, _BLOCK_ROWS):
-            corr = np.conjugate(windows[rows])
-            corr *= windows[rows, ::-1]
-            corr *= weights
+            corr = np.conjugate(ahead[rows])
+            corr *= behind[rows]
+            corr *= weights[half + 1 :]
             block = corr @ kernel
             del corr
-            block /= np.pi
-            residue = max(residue, float(np.max(np.abs(block.imag))))
-            values[rows, cols] = block.real
+            cells = values[rows, cols]
+            np.multiply(block.real, 2.0, out=cells)
+            cells += centre[rows, None]
+            cells /= np.pi
         # the next slice's kernel is built once this one is let go
         del kernel, block
-    if residue > 1e-10:
-        raise GridCoverageError(f"imaginary residue {residue:.2e}; state grid too coarse")
     return WignerGrid(x_axis, p_axis, values)
 
 

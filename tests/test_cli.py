@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import io
 import itertools
 import json
@@ -590,8 +591,30 @@ def _tiled_wigner_table(n: int, with_cat: bool, engine: str = "mehler"):
     return argv, echo, columns, rows, metadata
 
 
-# tiles of 1 x row (n = 0) and of 7 (n = 6, its orders in chunks of 3), so that
-# a block of 512 rows holds tiles and ends inside one
+class _SpyWriter:
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def _written_rows(argv, monkeypatch) -> list[int]:
+    """Rows of each write of `argv`'s CSV table after its header line."""
+    spy = _SpyWriter()
+    with monkeypatch.context() as patch:
+        patch.setattr("sys.stdout", spy)
+        assert main(argv) == 0
+    return [text.count("\n") for text in spy.writes[1:]]
+
+
+# tiles of 1 x row (n = 0) and of 7 (n = 6, its orders in chunks of 3): a
+# block of 512 rows could hold several tiles, but no block crosses a tile's
+# end, so each tile's rows are one block and one write
 @pytest.mark.parametrize("with_cat", [False, True])
 @pytest.mark.parametrize("n, tile", [(0, 1), (6, 7)])
 def test_tiled_map_prints_wigner_mehler(n, tile, with_cat, capsys, monkeypatch):
@@ -602,7 +625,7 @@ def test_tiled_map_prints_wigner_mehler(n, tile, with_cat, capsys, monkeypatch):
             Grid1D(-4.0, 4.0, 37))
     rows = [len(t) for t in catgate.wigner._mehler_tiles(*args)]
     assert rows == [tile] * (41 // tile) + [41 % tile] * (41 % tile > 0)
-    assert 512 % (tile * 37)
+    assert _written_rows(table[0], monkeypatch) == [37 * r for r in rows]
     _assert_matches_reference(lambda: table, capsys)
 
 
@@ -616,7 +639,10 @@ def test_tiled_map_beside_its_oracle_prints_the_held_maps(n, tile, with_cat, cap
     table = _tiled_wigner_table(n, with_cat, "both")
     args = (GateParams(n, 0.2), CoherentParams(0.5, 0.0), Grid1D(-3.0, 4.0, 41),
             Grid1D(-4.0, 4.0, 37))
-    assert [len(t) for t in catgate.wigner._mehler_tiles(*args)][0] == tile
+    rows = [len(t) for t in catgate.wigner._mehler_tiles(*args)]
+    assert rows[0] == tile
+    # no block of 512 rows crosses a tile's end
+    assert _written_rows(table[0], monkeypatch) == [37 * r for r in rows]
     maps = [engine(*args).values for engine in (wigner_mehler, wigner_output_quadrature)]
     assert table[4]["max_abs_difference"] == np.max(np.abs(maps[0] - maps[1])) > 0
     _assert_matches_reference(lambda: table, capsys)
@@ -725,18 +751,6 @@ def test_out_file_matches_stdout(fmt, tmp_path, capsys, monkeypatch):
     assert target.read_bytes() == expected.encode()
 
 
-class _SpyWriter:
-    def __init__(self):
-        self.writes: list[str] = []
-
-    def write(self, text: str) -> int:
-        self.writes.append(text)
-        return len(text)
-
-    def flush(self) -> None:
-        pass
-
-
 # argv, the rows per block, and the table's rows: the handlers make their own
 # blocks, which end at a map's tile ends (tiles of 7 x 37 rows here) and at a
 # disk's branch ends (5214 rows: 2000 samples, 1607 upper and 1607 lower)
@@ -779,7 +793,10 @@ def test_json_streams_one_block_per_write(monkeypatch):
 
 def _table_peak(argv: list[str]) -> int:
     """Largest traced allocation while `main` runs `argv` with its table
-    written to the null device: the handler's data and the rendering."""
+    written to the null device: the handler's data and the rendering. The
+    collector runs first, so that no cycle left by an earlier run, such as
+    main's argument parser, is freed or kept by chance while it is traced."""
+    gc.collect()
     tracemalloc.start()
     try:
         assert main(argv + ["--out", os.devnull]) == 0
@@ -792,7 +809,7 @@ def _table_peak(argv: list[str]) -> int:
 def test_render_memory_does_not_grow_with_the_table(fmt, monkeypatch):
     # the render holds one block, not the table, and the map one tile: 16 times
     # the rows, about the same peak, which moves only with the rows of a block
-    # and of a tile (tiles of at most 4096 values here, 40 and 11 x rows)
+    # and of a tile (tiles of at most 4096 values here, 34 and 11 x rows)
     monkeypatch.setattr(catgate.cli, "_BLOCK_ROWS", 512)
     monkeypatch.setattr(catgate.wigner, "_CHUNK_VALUES", 1 << 12)
     peaks = []
@@ -862,18 +879,20 @@ def test_map_peak_is_one_tile_and_one_render_block():
 
 def test_wigner_engines_peak_is_one_map_plus_one_tile_or_the_oracle_slice_and_block():
     # the oracle runs first and whole, then beside it the closed form is made,
-    # checked and printed a tile of x rows at a time (301 and 100 rows here),
+    # checked and printed a tile of x rows at a time (201 and 200 rows here),
     # so handler and render hold the oracle's map and at most the larger of:
-    # the oracle's kernel slice (1201 x 52 complex) and block of correlation
-    # rows (32 x 1201 complex); a tile with one chunk of orders and one block
-    # of partial products (_CHUNK_VALUES values each); a tile and one render
-    # block. 3.31 MB traced, in the first tile, where two held maps took 3.63 MB
+    # the oracle's kernel slice (600 x 52 complex, z > 0 only) and block of
+    # correlation rows (32 x 600 complex); a tile with one chunk of orders and
+    # one block of partial products (_CHUNK_VALUES values each); a tile and one
+    # render block. 2.80 MB traced, in the first tile, where tiles of 301 and
+    # 100 rows beside the oracle's whole z range took 3.27 MB and two held
+    # maps 3.63 MB
     argv = ["wigner", "--n", "300", "--engine", "both", "--x-range=-6:6:401",
             "--p-range=-29:29:401"]
     _table_peak(argv)  # fills the formatter's caches
     peak = _table_peak(argv)
-    tile, chunk = 301 * 401, catgate.wigner._CHUNK_VALUES
-    phases = (2 * 1201 * (52 + catgate.wigner._BLOCK_ROWS), tile + 2 * chunk, tile + 0.35e6 / 8)
+    tile, chunk = 201 * 401, catgate.wigner._CHUNK_VALUES
+    phases = (2 * 600 * (52 + catgate.wigner._BLOCK_ROWS), tile + 2 * chunk, tile + 0.35e6 / 8)
     assert peak <= 8 * (401 * 401 + max(phases)) + 0.1e6
 
 

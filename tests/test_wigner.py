@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ from scipy.special import binom, factorial, genlaguerre
 
 import catgate.wigner
 from catgate.errors import GridCoverageError, ZeroProbabilityError
-from catgate.gate import GateParams, _central_binomials, outcome_norm, perfect_cat
+from catgate.gate import GateParams, _central_binomials, exact_output, outcome_norm, perfect_cat
 from catgate.metrics import fidelity_cat_scan, outcome_density
 from catgate.numerics import (
     _BLOCK_VALUES,
@@ -295,8 +296,6 @@ def test_total_mass_and_marginal():
     np.testing.assert_allclose(w.total_mass(), 1.0, rtol=0, atol=1e-8)
     marginal = w.values @ integration_weights(pa)
     sg = aligned_state_grid(xa, -9.0, 9.0)
-    from catgate.gate import exact_output
-
     out = exact_output(params, coherent_wavefunction(inp, sg))
     idx = np.rint((xa.xs - sg.x_min) / sg.spacing).astype(int)
     np.testing.assert_allclose(marginal, np.abs(out.values[idx]) ** 2, rtol=0, atol=1e-10)
@@ -484,6 +483,7 @@ def test_quadrature_does_not_depend_on_slice_width(count, points, monkeypatch):
 
 def _traced_peak(function, *args) -> int:
     function(*args)
+    gc.collect()  # no cycle of an earlier run is freed while traced
     tracemalloc.start()
     try:
         function(*args)
@@ -498,12 +498,14 @@ def _quadrature_peak(x_axis: Grid1D, p_axis: Grid1D) -> int:
 
 
 def test_quadrature_memory_is_one_block_plus_one_kernel_slice():
-    # the result, a slice of 52 of the 1201-point kernel's columns and one
-    # 32-row block of correlation rows: 1.29 + 1.00 + 0.61 MB, 3.15 MB traced
-    # (3.67 MB while the next slice's kernel was built beside the last one)
+    # the result, a slice of 52 columns of the kernel's 600 rows, z > 0 of the
+    # 1201-point state grid, and one 32-row block of 600 correlation columns:
+    # 1.29 + 0.50 + 0.31 MB, 2.34 MB traced (3.15 MB when the kernel and the
+    # block took all 1201 z, 3.67 MB while the next slice's kernel was built
+    # beside the last one)
     xa, pa = Grid1D(-6.0, 6.0, 401), Grid1D(-29.0, 29.0, 401)
     assert aligned_state_grid(xa, -9.0, 9.0).count == 1201
-    floats = xa.count * pa.count + 2 * 1201 * (52 + catgate.wigner._BLOCK_ROWS)
+    floats = xa.count * pa.count + 2 * 600 * (52 + catgate.wigner._BLOCK_ROWS)
     assert _quadrature_peak(xa, pa) <= 8 * floats + 0.5e6
     # both axes refine to one 1801-point state grid at 0.01 spacing, so the slices
     # are the same and only the output grows, by 1200 x 401 doubles
@@ -585,6 +587,71 @@ def test_quadrature_residue_is_the_largest_of_all_blocks(x0, monkeypatch):
             wigner_quadrature(state, xa, pa)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+def _full_range_quadrature(state, x_axis: Grid1D, p_axis: Grid1D) -> tuple[np.ndarray, np.ndarray]:
+    """(1/pi) sum_z w c e^{2ipz} over the whole z range, -z included, as one
+    complex product, and the correlation c = conj psi(x+z) psi(x-z)."""
+    grid = state.grid
+    half = (grid.count - 1) // 2
+    idx = np.rint((x_axis.xs - grid.x_min) / grid.spacing).astype(int)
+    padded = np.pad(state.values, half)
+    m = np.arange(-half, half + 1)
+    corr = np.conjugate(padded[idx[:, None] + half + m]) * padded[idx[:, None] + half - m]
+    z = m * grid.spacing
+    weights = integration_weights(Grid1D(z[0], z[-1], z.size))
+    return (corr * weights) @ np.exp(2j * np.multiply.outer(z, p_axis.xs)) / np.pi, corr
+
+
+@pytest.mark.parametrize("n, y_m, x0, p0", [(1, -0.4, 0.5, 0.7), (5, 0.8, -0.3, 1.2),
+                                           (15, 1.5, 0.2, -0.9)])
+def test_quadrature_over_z_above_0_is_the_full_range_sum(n, y_m, x0, p0):
+    # c(-z) = conj c(z), so the z > 0 half and the z = 0 term give the whole
+    # sum's real part; the states' correlations are complex and not even in x
+    params, inp = GateParams(n, y_m), CoherentParams(x0, p0)
+    xa, pa = Grid1D(-3.0, 4.0, 29), Grid1D(-6.0, 6.0, 23)
+    grid = aligned_state_grid(xa, x0 - 9.0, x0 + 9.0)
+    state = exact_output(params, coherent_wavefunction(inp, grid))
+    full, corr = _full_range_quadrature(state, xa, pa)
+    assert np.max(np.abs(corr.imag)) > 0.1 * np.max(np.abs(corr))
+    assert not np.allclose(full.real, full.real[::-1], atol=0.01 * np.max(np.abs(full.real)))
+    folded = wigner_quadrature(state, xa, pa).values
+    peak = np.max(np.abs(full.real))
+    np.testing.assert_allclose(folded, full.real, rtol=0, atol=2e-15 * peak)
+    np.testing.assert_allclose(full.imag, 0.0, rtol=0, atol=2e-15 * peak)
+
+
+def test_quadrature_refuses_weights_that_are_not_even_before_any_kernel(monkeypatch):
+    def skewed(grid):
+        return integration_weights(grid) * np.linspace(0.5, 1.5, grid.count)
+
+    def kernel(z, p):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(catgate.wigner, "integration_weights", skewed)
+    monkeypatch.setattr(catgate.wigner, "_fourier_kernel", kernel)
+    state = coherent_wavefunction(CoherentParams(0.5), Grid1D(-12.0, 12.0, 1201))
+    with pytest.raises(GridCoverageError, match="imaginary residue"):
+        wigner_quadrature(state, Grid1D(-4.0, 4.0, 81), Grid1D(-3.0, 3.0, 31))
+
+
+@pytest.mark.parametrize("n, count, p_count, rows", [
+    (300, 401, 401, [201, 200]),
+    (10, 401, 401, [134, 134, 133]),
+    (10, 2001, 2001, [32] * 62 + [17]),
+    (10, 601, 601, [101] * 5 + [96]),
+    (300, 283, 283, [283]),
+])
+def test_map_tiles_are_as_many_as_the_row_rule_gives_and_as_equal(n, count, p_count, rows):
+    # T0 = min(nx, max(_CHUNK_VALUES // np, n + 1)) rows a tile give
+    # ceil(nx / T0) tiles, each of at most ceil(nx / that count) rows
+    args = (GateParams(n, 0.0), CoherentParams(0.0, 0.0), Grid1D(-6.0, 6.0, count),
+            Grid1D(-9.0, 9.0, p_count))
+    most = min(count, max(catgate.wigner._CHUNK_VALUES // p_count, n + 1))
+    tiles = -(-count // most)
+    made = [len(t) for t in catgate.wigner._mehler_tiles(*args)]
+    assert made == rows
+    assert len(made) == tiles and max(made) == -(-count // tiles) and sum(made) == count
 
 
 def test_mehler_even_symmetry_at_origin():
